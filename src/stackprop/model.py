@@ -62,10 +62,6 @@ class StackedModel:
             self.labels, self.tags, self.system, self.root_label, self.root_exclusive
         )
 
-    @property
-    def uses_stacked_activations(self) -> bool:
-        return self.mode != PIPELINE
-
     def count_parameters(self) -> int:
         return self.tagger.count_parameters() + self.parser.count_parameters()
 

@@ -64,28 +64,6 @@ class FeatureGroupSpec:
 
 
 @dataclass
-class FeatureMatrix:
-    """Per-example input for one group: (F,) int ids or an (F, V) dense array."""
-
-    group: FeatureGroupSpec
-    rows: np.ndarray
-
-    def __post_init__(self):
-        if self.group.dense:
-            if self.rows.shape != (self.group.num_templates, self.group.vocab_size):
-                raise StackpropError(
-                    f"dense rows for {self.group.name} have shape {self.rows.shape}"
-                )
-        else:
-            if self.rows.shape != (self.group.num_templates,):
-                raise StackpropError(
-                    f"id rows for {self.group.name} have shape {self.rows.shape}"
-                )
-            if self.rows.max(initial=0) >= self.group.vocab_size:
-                raise StackpropError(f"id out of range for group {self.group.name}")
-
-
-@dataclass
 class OptimizerConfig:
     eta0: float = 0.05
     gamma: float = 10000.0
@@ -144,12 +122,6 @@ class Network:
         self.average = {k: v.copy() for k, v in self.params.items()}
         self.avg_count = {k: 0 for k in self.params}
         self.step = 0
-
-    def group(self, name: str) -> FeatureGroupSpec:
-        for g in self.groups:
-            if g.name == name:
-                return g
-        raise StackpropError(f"no feature group named {name}")
 
     def inference_params(self, averaged: bool = True) -> dict[str, np.ndarray]:
         """Averaged parameters when averaging has begun, else the raw ones."""
@@ -282,57 +254,6 @@ def _backward_hidden(
             np.add.at(de, x.ravel(), seg.reshape(-1, g.embed_dim))
             grads[f"E_{g.name}"] = de
     return grads, dense_grads
-
-
-def pack_inputs(examples: Sequence[Sequence[FeatureMatrix]]) -> dict[str, np.ndarray]:
-    """Stack per-example FeatureMatrix lists into batched input arrays."""
-    out: dict[str, np.ndarray] = {}
-    for i in range(len(examples[0])):
-        group = examples[0][i].group
-        rows = np.stack([ex[i].rows for ex in examples])
-        dtype = DTYPE if group.dense else np.int64
-        out[group.name] = rows.astype(dtype)
-    return out
-
-
-# single-example views of the batched operations
-
-
-def embed_forward(inputs: Sequence[FeatureMatrix], net: Network) -> np.ndarray:
-    return embed_forward_batch(net, pack_inputs([inputs]))[0]
-
-
-def hidden_forward(h0: np.ndarray, net: Network) -> np.ndarray:
-    if h0.shape != (net.input_width,):
-        raise StackpropError(f"h0 has shape {h0.shape}, expected ({net.input_width},)")
-    return np.maximum(h0 @ net.params["W1"] + net.params["b1"], 0.0)
-
-
-def softmax_xent(
-    h1: np.ndarray, net: Network, gold: int
-) -> tuple[np.ndarray, float, dict[str, np.ndarray]]:
-    """Probabilities, loss, and gradients (dh1, dW2, db2) for one example."""
-    logits = h1 @ net.params["W2"] + net.params["b2"]
-    probs, losses, dlogits = softmax_xent_batch(logits[None, :], np.array([gold]))
-    d = dlogits[0]
-    grads = {
-        "dh1": net.params["W2"] @ d,
-        "dW2": np.outer(h1, d),
-        "db2": d,
-    }
-    return probs[0], float(losses[0]), grads
-
-
-def backprop(
-    inputs: Sequence[FeatureMatrix], net: Network, gold: int
-) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Full single-example forward/backward: loss, block gradients, and dense
-    input gradients."""
-    packed = pack_inputs([inputs])
-    cache = forward_batch(net, packed)
-    _, losses, dlogits = softmax_xent_batch(cache.logits, np.array([gold]))
-    grads, dense = backward_batch(net, cache, dlogits)
-    return float(losses[0]), grads, {k: v[0] for k, v in dense.items()}
 
 
 def asgd_step(

@@ -18,7 +18,7 @@ import numpy as np
 from stackprop.corpus import NULL_ID, Sentence
 from stackprop.errors import StackpropError
 from stackprop.model import N_LABEL_TEMPLATES, N_TOKEN_TEMPLATES, PIPELINE, StackedModel
-from stackprop.nnkernel import DTYPE, FeatureMatrix, forward_batch
+from stackprop.nnkernel import DTYPE, forward_batch
 from stackprop.tagger import TaggerActivations, tag_sentence
 from stackprop.transition import (
     ParserConfiguration,
@@ -83,71 +83,74 @@ def label_features(c: ParserConfiguration, tokens: Optional[np.ndarray] = None) 
     return out
 
 
+def featurize(c: ParserConfiguration, base: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(20,) template token rows and (12,) label ids of one configuration.
+
+    Token ``t`` of the sentence is row ``base + t - 1`` of the per-token
+    tables (``base`` is the sentence's first row); empty slots are -1.
+    """
+    tokens = feature_tokens(c)
+    rows = np.where(tokens != NULL_TOKEN, tokens + (base - 1), NULL_TOKEN)
+    return rows, label_features(c, tokens)
+
+
 def gather_activation_rows(
-    tokens: np.ndarray, hidden: np.ndarray, null_row: np.ndarray
+    rows: np.ndarray, hidden: np.ndarray, null_row: np.ndarray
 ) -> np.ndarray:
-    """(T, H) dense rows: tagger activation of each template token, or the
-    learned null row for empty slots."""
-    rows = np.empty((tokens.shape[0], hidden.shape[1]), dtype=DTYPE)
-    for i, tok in enumerate(tokens):
-        rows[i] = null_row if tok == NULL_TOKEN else hidden[tok - 1]
-    return rows
+    """(B, 20, H) dense input: the tagger activation ``hidden[row]`` of each
+    template token, or the learned null row for empty slots (row -1)."""
+    dense = np.empty(rows.shape + (hidden.shape[1],), dtype=DTYPE)
+    real = rows != NULL_TOKEN
+    dense[real] = hidden[rows[real]]
+    dense[~real] = null_row
+    return dense
 
 
-def assemble_parser_input(
-    c: ParserConfiguration, activations: TaggerActivations, model: StackedModel
-) -> list[FeatureMatrix]:
-    """Stacked-mode parser input: the dense implicit group plus label ids."""
-    if activations.hidden.shape[1] != model.tagger_cfg.hidden:
-        raise StackpropError(
-            f"activation width {activations.hidden.shape[1]} does not match "
-            f"tagger hidden size {model.tagger_cfg.hidden}"
-        )
-    tokens = feature_tokens(c)
-    null_row = model.parser.params["null_input"]
-    dense = gather_activation_rows(tokens, activations.hidden, null_row)
-    return [
-        FeatureMatrix(model.parser.group("implicit"), dense),
-        FeatureMatrix(model.parser.group("labels"), label_features(c, tokens)),
-    ]
-
-
-def _parser_inputs(
-    c: ParserConfiguration,
+def parser_input(
     model: StackedModel,
-    activations: TaggerActivations,
-    sentence: Sentence,
-    params: dict,
+    params: dict[str, np.ndarray],
+    rows: np.ndarray,
+    labels: np.ndarray,
+    acts: TaggerActivations,
+    word_ids: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    tokens = feature_tokens(c)
-    labels = label_features(c, tokens)
-    if model.mode == PIPELINE:
-        dist = np.zeros((N_TOKEN_TEMPLATES, model.tags.n_classes), dtype=DTYPE)
-        words = np.full(N_TOKEN_TEMPLATES, NULL_ID, dtype=np.int64)
-        for i, tok in enumerate(tokens):
-            if tok != NULL_TOKEN:
-                dist[i] = activations.probs[tok - 1]
-                words[i] = model.forms.id_of(sentence.token(int(tok)).form.lower())
-        return {
-            "tagdist": dist[None],
-            "pwords": words[None],
-            "labels": labels[None],
-        }
-    null_row = params.get("null_input", model.parser.params["null_input"])
-    dense = gather_activation_rows(tokens, activations.hidden, null_row)
-    return {"implicit": dense[None], "labels": labels[None]}
+    """The parser's input for B configurations, in training and decoding alike.
+
+    ``rows`` (B, 20) index the per-token tables ``acts`` and ``word_ids``
+    (-1 for an empty slot); ``labels`` (B, 12) are label ids. Stacked
+    variants read tagger activations, with ``params["null_input"]`` in empty
+    slots. The pipeline reads tag distributions (zeros in empty slots) and
+    word ids (NULL_ID in empty slots).
+    """
+    if model.mode != PIPELINE:
+        dense = gather_activation_rows(rows, acts.hidden, params["null_input"])
+        return {"implicit": dense, "labels": labels}
+    if acts.probs is None:
+        raise StackpropError("pipeline parser input needs tag distributions")
+    real = rows != NULL_TOKEN
+    dist = np.zeros(rows.shape + (model.tags.n_classes,), dtype=DTYPE)
+    dist[real] = acts.probs[rows[real]]
+    words = np.full(rows.shape, NULL_ID, dtype=np.int64)
+    words[real] = word_ids[rows[real]]
+    return {"tagdist": dist, "pwords": words, "labels": labels}
+
+
+def sentence_word_ids(sentence: Sentence, model: StackedModel) -> np.ndarray:
+    """Word vocabulary id of each token (lowercased form)."""
+    return np.array([model.forms.id_of(t.form.lower()) for t in sentence.tokens], dtype=np.int64)
 
 
 def score_actions(
     c: ParserConfiguration,
-    activations: TaggerActivations,
     model: StackedModel,
-    sentence: Sentence,
-    averaged: bool = True,
+    acts: TaggerActivations,
+    word_ids: np.ndarray,
+    params: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Logits over the full action space (unmasked)."""
-    params = model.parser.inference_params(averaged)
-    inputs = _parser_inputs(c, model, activations, sentence, params)
+    """Logits over the full action space (unmasked) for one configuration of
+    a sentence with tagger output ``acts`` and ``word_ids``."""
+    rows, labels = featurize(c)
+    inputs = parser_input(model, params, rows[None], labels[None], acts, word_ids)
     return forward_batch(model.parser, inputs, params).logits[0]
 
 
@@ -181,19 +184,19 @@ def parse_sentence(
     """
     if len(sentence) == 0:
         raise StackpropError("cannot parse an empty sentence")
-    want_probs = model.mode == PIPELINE
     pred_tags, acts = tag_sentence(
         sentence, model.tagger, model.tvocabs, model.tags,
-        averaged=averaged, want_probs=want_probs,
+        averaged=averaged, want_probs=True,
     )
+    word_ids = sentence_word_ids(sentence, model)
     params = model.parser.inference_params(averaged)
     c = initial(sentence)
     n_steps = 0
     while not is_terminal(c):
-        inputs = _parser_inputs(c, model, acts, sentence, params)
-        logits = forward_batch(model.parser, inputs, params).logits[0]
+        logits = score_actions(c, model, acts, word_ids, params)
         mask = model.actions.legal_mask(c)
-        assert mask.any(), "non-terminal configuration with no legal action"
+        if not mask.any():
+            raise StackpropError(f"non-terminal configuration with no legal action: {c}")
         logits[~mask] = -np.inf
         c = apply(c, model.actions.decode(int(np.argmax(logits))), model.system)
         n_steps += 1

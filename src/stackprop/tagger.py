@@ -20,7 +20,6 @@ from stackprop.corpus import NULL_ID, Sentence, Vocab
 from stackprop.errors import StackpropError
 from stackprop.nnkernel import (
     FeatureGroupSpec,
-    FeatureMatrix,
     Network,
     forward_batch,
     softmax_batch,
@@ -61,7 +60,7 @@ class TaggerVocabs:
 
 @dataclass
 class TaggerActivations:
-    hidden: np.ndarray  # (n_tokens, H)
+    hidden: Optional[np.ndarray]  # (n_tokens, H); absent for jackknifed distributions
     probs: Optional[np.ndarray] = None  # (n_tokens, n_tags)
 
 
@@ -159,31 +158,10 @@ def extract_tagger_ids(
     return out
 
 
-def extract_tagger_features(
-    sentence: Sentence, j: int, vocabs: TaggerVocabs, groups: list[FeatureGroupSpec]
-) -> list[FeatureMatrix]:
-    ids = extract_tagger_ids(sentence, j, vocabs)
-    return [FeatureMatrix(g, ids[g.name]) for g in groups]
-
-
 def encode_sentence(sentence: Sentence, vocabs: TaggerVocabs) -> dict[str, np.ndarray]:
     """Stacked feature ids for every token of one sentence: group -> (n, F)."""
     per_token = [extract_tagger_ids(sentence, j, vocabs) for j in range(1, len(sentence) + 1)]
     return {name: np.stack([ids[name] for ids in per_token]) for name in GROUP_ORDER}
-
-
-def tagger_forward(
-    sentence: Sentence,
-    j: int,
-    net: Network,
-    vocabs: TaggerVocabs,
-    averaged: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(hidden activation, tag class probabilities) for one token."""
-    ids = extract_tagger_ids(sentence, j, vocabs)
-    inputs = {name: ids[name][None, :] for name in GROUP_ORDER}
-    cache = forward_batch(net, inputs, net.inference_params(averaged))
-    return cache.h1[0], softmax_batch(cache.logits)[0]
 
 
 def tag_sentence(

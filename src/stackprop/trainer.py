@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from stackprop.corpus import NULL_ID, Sentence, Vocab, build_vocabs, is_projective, projectivize
+from stackprop.corpus import Sentence, Vocab, build_vocabs, is_projective, projectivize
 from stackprop.errors import StackpropError, UnrollError
 from stackprop.evaluator import attachment_scores
 from stackprop.model import (
@@ -39,9 +39,10 @@ from stackprop.nnkernel import (
     forward_batch,
     softmax_xent_batch,
 )
-from stackprop.parser import feature_tokens, label_features, parse_corpus
+from stackprop.parser import featurize, parse_corpus, parser_input, sentence_word_ids
 from stackprop.tagger import (
     GROUP_ORDER,
+    TaggerActivations,
     TaggerConfig,
     encode_sentence,
     load_pretrained_embeddings,
@@ -114,7 +115,7 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
 
     tag_inputs = {name: [] for name in GROUP_ORDER}
     tag_gold: list[int] = []
-    word_ids: list[int] = []
+    word_ids: list[np.ndarray] = []
     offsets = [0]
     deriv_tokens, deriv_labels, deriv_gold = [], [], []
     skipped = 0
@@ -131,15 +132,13 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
         enc = encode_sentence(s, model.tvocabs)
         for name in GROUP_ORDER:
             tag_inputs[name].append(enc[name])
-        for t in s.tokens:
-            tag_gold.append(model.tags.class_index(t.gold_upos))
-            word_ids.append(model.forms.id_of(t.form.lower()))
+        tag_gold.extend(model.tags.class_index(t.gold_upos) for t in s.tokens)
+        word_ids.append(sentence_word_ids(s, model))
         offsets.append(base + len(s))
         for c, a in deriv.steps:
-            toks = feature_tokens(c)
-            glob = np.where(toks >= 0, toks + base - 1, -1)
-            deriv_tokens.append(glob)
-            deriv_labels.append(label_features(c, toks))
+            rows, labels = featurize(c, base)
+            deriv_tokens.append(rows)
+            deriv_labels.append(labels)
             deriv_gold.append(model.actions.encode(a))
     if not kept:
         raise StackpropError("no trainable sentences after unrolling")
@@ -148,7 +147,7 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
         tag_inputs={k: np.concatenate(v) for k, v in tag_inputs.items()},
         tag_gold=np.array(tag_gold, dtype=np.int64),
         offsets=np.array(offsets, dtype=np.int64),
-        word_ids=np.array(word_ids, dtype=np.int64),
+        word_ids=np.concatenate(word_ids),
         deriv_tokens=np.stack(deriv_tokens),
         deriv_labels=np.stack(deriv_labels),
         deriv_gold=np.array(deriv_gold, dtype=np.int64),
@@ -183,59 +182,45 @@ def parser_batch_update(
 ) -> float:
     """One PARSER update.
 
-    Stacked modes: run the tagger forward for every distinct template token
-    in the batch, feed the activations (and the learned null row) to the
-    parser, and backpropagate the parsing loss into the parser and into the
-    tagger's hidden/embedding blocks, skipping the tagger softmax. The
-    pipeline variant reads jackknifed tag distributions instead and never
-    touches the tagger.
+    The batch's template tokens are reduced to their distinct rows. Without
+    ``train_dists`` (stacked modes) the tagger runs forward on those rows, the
+    parser reads its activations (and the learned null row), and the parsing
+    loss is backpropagated into the parser and into the tagger's
+    hidden/embedding blocks, skipping the tagger softmax. The pipeline passes
+    jackknifed tag distributions per token row instead and never touches the
+    tagger.
     """
     batch = len(idx)
     toks = data.deriv_tokens[idx]
     gold = data.deriv_gold[idx]
-    labels = data.deriv_labels[idx]
-    if model.mode == PIPELINE:
-        if train_dists is None:
-            raise StackpropError("pipeline parser updates need jackknifed tag distributions")
-        n_tags = model.tags.n_classes
-        dist = np.zeros((batch, toks.shape[1], n_tags), dtype=DTYPE)
-        words = np.full(toks.shape, NULL_ID, dtype=np.int64)
-        real = toks >= 0
-        dist[real] = train_dists[toks[real]]
-        words[real] = data.word_ids[toks[real]]
-        cache = forward_batch(model.parser, {"tagdist": dist, "pwords": words, "labels": labels})
-        _, losses, dlogits = softmax_xent_batch(cache.logits, gold)
-        dlogits /= batch
-        grads, _ = backward_batch(model.parser, cache, dlogits)
-        asgd_step(model.parser, grads, opt)
-        return float(losses.mean())
-
-    h_tagger = model.tagger_cfg.hidden
     uniq, inv = np.unique(toks.ravel(), return_inverse=True)
-    has_null = uniq.size > 0 and uniq[0] == -1
-    real_rows = uniq[uniq >= 0]
-    rows = np.empty((uniq.size, h_tagger), dtype=DTYPE)
+    has_null = int(uniq[0] == -1)
+    real_rows = uniq[has_null:]
     tcache = None
-    if real_rows.size:
+    if train_dists is None:
         tcache = forward_batch(
             model.tagger, {name: data.tag_inputs[name][real_rows] for name in GROUP_ORDER}
         )
-        rows[1 if has_null else 0 :] = tcache.h1
-    if has_null:
-        rows[0] = model.parser.params["null_input"]
-    dense = rows[inv].reshape(batch, toks.shape[1], h_tagger)
-    cache = forward_batch(model.parser, {"implicit": dense, "labels": labels})
+        acts = TaggerActivations(tcache.h1)
+    else:
+        acts = TaggerActivations(None, train_dists[real_rows])
+    inputs = parser_input(
+        model, model.parser.params, (inv - has_null).reshape(toks.shape),
+        data.deriv_labels[idx], acts, data.word_ids[real_rows],
+    )
+    cache = forward_batch(model.parser, inputs)
     _, losses, dlogits = softmax_xent_batch(cache.logits, gold)
     dlogits /= batch
     grads, dense_grads = backward_batch(model.parser, cache, dlogits)
-    dx = dense_grads["implicit"].reshape(-1, h_tagger)
-    acc = np.zeros((uniq.size, h_tagger), dtype=DTYPE)
-    np.add.at(acc, inv, dx)
-    grads["null_input"] = acc[0] if has_null else np.zeros(h_tagger, dtype=DTYPE)
+    if tcache is not None:
+        h_tagger = model.tagger_cfg.hidden
+        dx = dense_grads["implicit"].reshape(-1, h_tagger)
+        acc = np.zeros((uniq.size, h_tagger), dtype=DTYPE)
+        np.add.at(acc, inv, dx)
+        grads["null_input"] = acc[0] if has_null else np.zeros(h_tagger, dtype=DTYPE)
     asgd_step(model.parser, grads, opt)
     if tcache is not None:
-        dh1 = acc[1 if has_null else 0 :]
-        tgrads, _ = backward_from_hidden(model.tagger, tcache, dh1)
+        tgrads, _ = backward_from_hidden(model.tagger, tcache, acc[has_null:])
         scope = [b for b in model.tagger.block_names if b not in TAGGER_SOFTMAX_BLOCKS]
         asgd_step(model.tagger, tgrads, opt, scope=scope)
     return float(losses.mean())

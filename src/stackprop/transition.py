@@ -59,21 +59,6 @@ class ParserConfiguration:
     def attached(self) -> set[int]:
         return {d for (_, _, d) in self.arcs}
 
-    def head_of(self, token: int) -> Optional[int]:
-        for h, _, d in self.arcs:
-            if d == token:
-                return h
-        return None
-
-    def children_of(self, token: int) -> list[int]:
-        return sorted(d for (h, _, d) in self.arcs if h == token)
-
-    def label_of(self, token: int) -> Optional[int]:
-        for _, l, d in self.arcs:
-            if d == token:
-                return l
-        return None
-
 
 def initial(sentence: Sentence) -> ParserConfiguration:
     if len(sentence) == 0:

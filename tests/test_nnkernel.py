@@ -7,19 +7,14 @@ import pytest
 from stackprop.errors import ModelError, StackpropError
 from stackprop.nnkernel import (
     FeatureGroupSpec,
-    FeatureMatrix,
     Network,
     OptimizerConfig,
     asgd_step,
-    backprop,
+    backward_batch,
     backward_from_hidden,
-    embed_forward,
     forward_batch,
-    hidden_forward,
     load_model,
-    pack_inputs,
     save_model,
-    softmax_xent,
     softmax_xent_batch,
 )
 
@@ -47,7 +42,7 @@ def test_embed_forward_row_selection():
     g = FeatureGroupSpec("g", 1, 2, 2)
     net = Network([g], 2, 2, np.random.default_rng(0))
     net.params["E_g"] = np.array([[1.0, 2.0], [3.0, 4.0]])
-    h0 = embed_forward([FeatureMatrix(g, np.array([0]))], net)
+    h0 = forward_batch(net, {"g": np.array([[0]])}).h0[0]
     assert np.allclose(h0, [1.0, 2.0])
 
 
@@ -55,9 +50,9 @@ def test_embed_forward_dense_matmul():
     g = FeatureGroupSpec("g", 1, 2, 2, dense=True)
     net = Network([g], 2, 2, np.random.default_rng(0))
     net.params["E_g"] = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = embed_forward([FeatureMatrix(g, np.array([[0.0, 1.0]]))], net)
+    out = forward_batch(net, {"g": np.array([[[0.0, 1.0]]])}).h0[0]
     assert np.allclose(out, [3.0, 4.0])
-    out = embed_forward([FeatureMatrix(g, np.array([[0.5, 0.5]]))], net)
+    out = forward_batch(net, {"g": np.array([[[0.5, 0.5]]])}).h0[0]
     assert np.allclose(out, [2.0, 3.0])
 
 
@@ -65,10 +60,7 @@ def test_embed_forward_concatenates_in_declaration_order():
     g1 = FeatureGroupSpec("a", 2, 4, 3)
     g2 = FeatureGroupSpec("b", 3, 4, 2)
     net = Network([g1, g2], 2, 2, np.random.default_rng(0))
-    h0 = embed_forward(
-        [FeatureMatrix(g1, np.array([1, 2])), FeatureMatrix(g2, np.array([0, 1, 3]))],
-        net,
-    )
+    h0 = forward_batch(net, {"b": np.array([[0, 1, 3]]), "a": np.array([[1, 2]])}).h0[0]
     assert h0.shape == (2 * 3 + 3 * 2,)
     assert np.allclose(h0[:3], net.params["E_a"][1])
     assert np.allclose(h0[6:8], net.params["E_b"][0])
@@ -78,7 +70,7 @@ def test_embed_forward_unembedded_dense_passthrough():
     g = FeatureGroupSpec("raw", 2, 3, 3, dense=True, embedded=False)
     net = Network([g], 2, 2, np.random.default_rng(0))
     rows = np.array([[0.1, 0.2, 0.7], [1.0, 0.0, 0.0]])
-    h0 = embed_forward([FeatureMatrix(g, rows)], net)
+    h0 = forward_batch(net, {"raw": rows[None]}).h0[0]
     assert np.allclose(h0, rows.ravel())
     assert "E_raw" not in net.params
 
@@ -93,8 +85,8 @@ def test_hidden_forward_zero_weights():
     net = small_net()
     net.params["W1"][:] = 0.0
     net.params["b1"][:] = 0.0
-    h0 = np.ones(net.input_width)
-    assert np.allclose(hidden_forward(h0, net), 0.0)
+    h1 = forward_batch(net, _example(net, np.random.default_rng(0))).h1[0]
+    assert np.allclose(h1, 0.0)
 
 
 def test_hidden_forward_relu_clips():
@@ -102,25 +94,29 @@ def test_hidden_forward_relu_clips():
     net = Network([g], 2, 2, np.random.default_rng(0))
     net.params["W1"][:] = 0.0
     net.params["b1"] = np.array([-1.0, 1.0])
-    assert np.allclose(hidden_forward(np.zeros(2), net), [0.0, 1.0])
+    assert np.allclose(forward_batch(net, {"g": np.array([[0]])}).h1[0], [0.0, 1.0])
 
 
 def test_hidden_forward_hand_computation():
-    g = FeatureGroupSpec("g", 1, 3, 3)
+    # an unembedded dense group feeds h0 straight to the hidden layer
+    g = FeatureGroupSpec("g", 1, 3, 3, dense=True, embedded=False)
     net = Network([g], 2, 2, np.random.default_rng(0))
     net.params["W1"] = np.array([[1.0, -1.0], [2.0, 0.5], [0.0, 3.0]])
     net.params["b1"] = np.array([0.5, -0.25])
     h0 = np.array([1.0, 2.0, -1.0])
     # z = [1+4+0+0.5, -1+1-3-0.25] = [5.5, -3.25] -> relu
-    assert np.allclose(hidden_forward(h0, net), [5.5, 0.0])
+    assert np.allclose(forward_batch(net, {"g": h0[None, None]}).h1[0], [5.5, 0.0])
 
 
 def test_softmax_uniform_when_logits_equal():
     net = small_net(n_out=4)
-    probs, loss, _ = softmax_xent(np.zeros(net.n_hidden), net, gold=2)
-    # zero hidden input makes logits equal to b2 = 0
+    net.params["W1"][:] = 0.0
+    net.params["b1"][:] = 0.0
+    cache = forward_batch(net, _example(net, np.random.default_rng(0)))
+    probs, losses, _ = softmax_xent_batch(cache.logits, np.array([2]))
+    # zero hidden activations make the logits equal to b2 = 0
     assert np.allclose(probs, 0.25)
-    assert math.isclose(loss, math.log(4.0), rel_tol=1e-12)
+    assert math.isclose(losses[0], math.log(4.0), rel_tol=1e-12)
 
 
 def test_softmax_dominant_logit():
@@ -155,20 +151,28 @@ def test_softmax_gradient_finite_difference():
 
 
 def _example(net, rng):
-    fms = []
+    """A batch of one random input for every group of ``net``."""
+    inputs = {}
     for g in net.groups:
         if g.dense:
-            fms.append(FeatureMatrix(g, rng.normal(size=(g.num_templates, g.vocab_size))))
+            inputs[g.name] = rng.normal(size=(1, g.num_templates, g.vocab_size))
         else:
-            fms.append(FeatureMatrix(g, rng.integers(0, g.vocab_size, size=g.num_templates)))
-    return fms
+            inputs[g.name] = rng.integers(0, g.vocab_size, size=(1, g.num_templates))
+    return inputs
+
+
+def _backprop(net, inputs, gold):
+    """Loss, block gradients and dense input gradients for a batch of one."""
+    cache = forward_batch(net, inputs)
+    _, losses, dlogits = softmax_xent_batch(cache.logits, np.array([gold]))
+    grads, dense = backward_batch(net, cache, dlogits)
+    return float(losses[0]), grads, dense
 
 
 def test_backprop_zero_upstream_gradient():
     net = small_net()
     rng = np.random.default_rng(2)
-    inputs = pack_inputs([_example(net, rng)])
-    cache = forward_batch(net, inputs)
+    cache = forward_batch(net, _example(net, rng))
     grads, dense = backward_from_hidden(net, cache, np.zeros_like(cache.h1))
     for v in grads.values():
         assert not v.any()
@@ -182,13 +186,13 @@ def test_backprop_full_finite_difference():
     # healthy parameter scale keeps true gradients well above FD noise
     for k in net.params:
         net.params[k] = rng.uniform(-0.7, 0.7, size=net.params[k].shape)
-    fms = _example(net, rng)
+    inputs = _example(net, rng)
     gold = 1
 
     def loss():
-        return backprop(fms, net, gold)[0]
+        return _backprop(net, inputs, gold)[0]
 
-    _, grads, dense = backprop(fms, net, gold)
+    _, grads, _ = _backprop(net, inputs, gold)
     eps = 1e-5
     for name, p in net.params.items():
         flat = p.ravel()
@@ -209,21 +213,21 @@ def test_backprop_dense_input_finite_difference():
     rng = np.random.default_rng(7)
     for k in net.params:
         net.params[k] = rng.uniform(-0.7, 0.7, size=net.params[k].shape)
-    fms = _example(net, rng)
+    inputs = _example(net, rng)
     gold = 0
-    _, _, dense = backprop(fms, net, gold)
-    dvec = fms[1]
+    _, _, dense = _backprop(net, inputs, gold)
+    dvec = inputs["vecs"][0]
     eps = 1e-5
-    for f in range(dvec.rows.shape[0]):
-        for v in range(dvec.rows.shape[1]):
-            old = dvec.rows[f, v]
-            dvec.rows[f, v] = old + eps
-            lp = backprop(fms, net, gold)[0]
-            dvec.rows[f, v] = old - eps
-            lm = backprop(fms, net, gold)[0]
-            dvec.rows[f, v] = old
+    for f in range(dvec.shape[0]):
+        for v in range(dvec.shape[1]):
+            old = dvec[f, v]
+            dvec[f, v] = old + eps
+            lp = _backprop(net, inputs, gold)[0]
+            dvec[f, v] = old - eps
+            lm = _backprop(net, inputs, gold)[0]
+            dvec[f, v] = old
             fd = (lp - lm) / (2 * eps)
-            an = dense["vecs"][f, v]
+            an = dense["vecs"][0, f, v]
             assert abs(fd - an) / max(abs(fd), abs(an), 1e-8) < 1e-4
 
 
@@ -316,7 +320,7 @@ def test_inference_params_averaged_switch():
     net = small_net(seed=14)
     cfg = OptimizerConfig(eta0=0.1, gamma=1e9, mu=0.0, batch_size=1)
     rng = np.random.default_rng(0)
-    inputs = pack_inputs([_example(net, rng)])
+    inputs = _example(net, rng)
     for _ in range(3):
         grads = {k: rng.normal(size=v.shape) for k, v in net.params.items()}
         asgd_step(net, grads, cfg)

@@ -3,22 +3,26 @@ import pytest
 
 from stackprop.corpus import NULL_ID
 from stackprop.errors import StackpropError
-from stackprop.model import STACKPROP, ParserNetworkConfig, build_model
+from stackprop.model import PIPELINE, STACKPROP, ParserNetworkConfig, build_model
 from stackprop.nnkernel import forward_batch
 from stackprop.parser import (
     NULL_TOKEN,
     ParseStats,
-    assemble_parser_input,
     feature_tokens,
+    featurize,
     label_features,
     parse_corpus,
     parse_sentence,
+    parser_input,
     score_actions,
+    sentence_word_ids,
 )
 from stackprop.tagger import TaggerConfig, tag_sentence
 from stackprop.transition import (
     SHIFT,
     Action,
+    ActionSpace,
+    ParserConfiguration,
     TransitionSystem,
     initial,
     replay,
@@ -81,40 +85,65 @@ def test_label_features_track_arcs():
     assert all(l == NULL_ID for l in labs[2:])
 
 
+def decode_input(c, sentence, m, averaged=True):
+    """The parser input the decoder builds for configuration ``c``."""
+    _, acts = tag_sentence(
+        sentence, m.tagger, m.tvocabs, m.tags, averaged=averaged, want_probs=True
+    )
+    rows, labels = featurize(c)
+    params = m.parser.inference_params(averaged)
+    return parser_input(
+        m, params, rows[None], labels[None], acts, sentence_word_ids(sentence, m)
+    )
+
+
+def test_featurize_rows_are_zero_based_and_offset():
+    c = replay(I_ATE_FISH, [Action(SHIFT)], STD)
+    toks = feature_tokens(c)
+    rows, labels = featurize(c)
+    assert np.array_equal(rows, np.where(toks == NULL_TOKEN, -1, toks - 1))
+    assert np.array_equal(labels, label_features(c))
+    shifted, _ = featurize(c, base=10)
+    assert np.array_equal(shifted, np.where(rows == -1, -1, rows + 10))
+
+
 def test_assemble_parser_input_null_rows():
     m = tiny_model()
-    _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
     # fabricate a configuration with everything empty: terminal-like
-    from stackprop.transition import ParserConfiguration
-
     c = ParserConfiguration(stack=(0,), buffer=(), arcs=frozenset())
-    fms = assemble_parser_input(c, acts, m)
-    dense = fms[0].rows
+    inputs = decode_input(c, I_ATE_FISH, m)
+    dense = inputs["implicit"][0]
     assert dense.shape == (20, TCFG.hidden)
     assert np.array_equal(dense, np.tile(m.parser.params["null_input"], (20, 1)))
-    assert np.array_equal(fms[1].rows, np.full(12, NULL_ID))
+    assert np.array_equal(inputs["labels"][0], np.full(12, NULL_ID))
 
 
 def test_assemble_identical_tokens_identical_rows():
     m = tiny_model()
-    _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
     c = replay(I_ATE_FISH, [Action(SHIFT)], STD)
     toks = feature_tokens(c)
-    fms = assemble_parser_input(c, acts, m)
-    rows = fms[0].rows
+    rows = decode_input(c, I_ATE_FISH, m)["implicit"][0]
     idx = [i for i, t in enumerate(toks) if t == 1]
     assert len(idx) >= 1
     for i in idx[1:]:
         assert np.array_equal(rows[idx[0]], rows[i])
 
 
-def test_assemble_rejects_width_mismatch():
-    m = tiny_model()
-    from stackprop.tagger import TaggerActivations
-
-    bad = TaggerActivations(hidden=np.zeros((3, TCFG.hidden + 1)))
-    with pytest.raises(StackpropError, match="width"):
-        assemble_parser_input(initial(I_ATE_FISH), bad, m)
+def test_parser_input_pipeline_layout():
+    m = tiny_model(mode=PIPELINE)
+    c = replay(I_ATE_FISH, [Action(SHIFT)], STD)
+    toks = feature_tokens(c)
+    _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags, want_probs=True)
+    inputs = decode_input(c, I_ATE_FISH, m)
+    assert set(inputs) == {"tagdist", "pwords", "labels"}
+    for i, tok in enumerate(toks):
+        if tok == NULL_TOKEN:
+            assert not inputs["tagdist"][0, i].any()
+            assert inputs["pwords"][0, i] == NULL_ID
+        else:
+            assert np.array_equal(inputs["tagdist"][0, i], acts.probs[tok - 1])
+            form = I_ATE_FISH.token(int(tok)).form.lower()
+            assert inputs["pwords"][0, i] == m.forms.id_of(form)
 
 
 def test_parser_input_width_assertion():
@@ -133,11 +162,7 @@ def test_embedding_perturbation_sensitivity():
     c = initial(s)  # templates select only b0..b3 = tokens 1..4
 
     def parser_h0():
-        _, acts = tag_sentence(s, m.tagger, m.tvocabs, m.tags, averaged=False)
-        fms = assemble_parser_input(c, acts, m)
-        from stackprop.nnkernel import pack_inputs
-
-        return forward_batch(m.parser, pack_inputs([fms])).h0
+        return forward_batch(m.parser, decode_input(c, s, m, averaged=False)).h0
 
     base = parser_h0()
     # token 10's form is outside every selected window (max selected token 4, radius 3)
@@ -156,7 +181,8 @@ def test_zero_weights_uniform_over_legal_actions():
         m.parser.params[k][:] = 0.0
     _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
     c = initial(I_ATE_FISH)
-    logits = score_actions(c, acts, m, I_ATE_FISH, averaged=False)
+    word_ids = sentence_word_ids(I_ATE_FISH, m)
+    logits = score_actions(c, m, acts, word_ids, m.parser.inference_params(False))
     assert np.allclose(logits, logits[0])
     mask = m.actions.legal_mask(c)
     masked = logits.copy()
@@ -170,7 +196,8 @@ def test_argmax_invariant_to_constant_shift():
     m = tiny_model(seed=3)
     _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
     c = initial(I_ATE_FISH)
-    logits = score_actions(c, acts, m, I_ATE_FISH)
+    word_ids = sentence_word_ids(I_ATE_FISH, m)
+    logits = score_actions(c, m, acts, word_ids, m.parser.inference_params(True))
     mask = m.actions.legal_mask(c)
     a = logits.copy()
     a[~mask] = -np.inf
@@ -193,6 +220,15 @@ def test_parse_single_token_forced_derivation():
     out = parse_sentence(s, m)
     assert out.tokens[0].pred_head == 0
     assert out.tokens[0].pred_deprel == "root"
+
+
+def test_no_legal_action_raises(monkeypatch):
+    m = tiny_model()
+    monkeypatch.setattr(
+        ActionSpace, "legal_mask", lambda self, c: np.zeros(self.size, dtype=bool)
+    )
+    with pytest.raises(StackpropError, match="no legal action"):
+        parse_sentence(I_ATE_FISH, m)
 
 
 def test_parse_full_tree_and_stats():

@@ -17,11 +17,9 @@ from stackprop.tagger import (
     build_tagger_vocabs,
     cap_shape,
     encode_sentence,
-    extract_tagger_features,
     extract_tagger_ids,
     load_pretrained_embeddings,
     tag_sentence,
-    tagger_forward,
     tagger_groups,
 )
 
@@ -113,13 +111,6 @@ def test_out_of_range_token_errors():
         extract_tagger_ids(s, 0, tv)
 
 
-def test_feature_matrices_match_groups():
-    tv, tags = build([I_ATE_FISH])
-    groups = tagger_groups(tv, TaggerConfig())
-    fms = extract_tagger_features(I_ATE_FISH, 2, tv, groups)
-    assert [f.group.name for f in fms] == list(GROUP_ORDER)
-
-
 def make_net(sentences, cfg=None, seed=0):
     cfg = cfg or TaggerConfig(hidden=8, d_symbols=2, d_caps=2, d_affix=3, d_words=4)
     tv, tags = build(sentences)
@@ -129,18 +120,23 @@ def make_net(sentences, cfg=None, seed=0):
     return net, tv, tags
 
 
+def hidden(sentence, net, tv, tags):
+    """Raw-parameter tagger activations of every token, (n, H)."""
+    return tag_sentence(sentence, net, tv, tags, averaged=False)[1].hidden
+
+
 def test_zero_weights_give_uniform_tag_distribution():
     net, tv, tags = make_net([I_ATE_FISH])
     for k in ("W2", "b2"):
         net.params[k][:] = 0.0
-    _, probs = tagger_forward(I_ATE_FISH, 1, net, tv)
-    assert np.allclose(probs, 1.0 / tags.n_classes)
+    _, acts = tag_sentence(I_ATE_FISH, net, tv, tags, averaged=False, want_probs=True)
+    assert np.allclose(acts.probs, 1.0 / tags.n_classes)
 
 
 def test_hidden_nonnegative_and_deterministic():
-    net, tv, _ = make_net([I_ATE_FISH])
-    h1a, _ = tagger_forward(I_ATE_FISH, 2, net, tv)
-    h1b, _ = tagger_forward(I_ATE_FISH, 2, net, tv)
+    net, tv, tags = make_net([I_ATE_FISH])
+    h1a = hidden(I_ATE_FISH, net, tv, tags)
+    h1b = hidden(I_ATE_FISH, net, tv, tags)
     assert (h1a >= 0).all()
     assert np.array_equal(h1a, h1b)
 
@@ -183,12 +179,11 @@ def test_window_locality_radius_three():
     s2 = make_sentence([0] + [1] * 8, forms=edited)
     both = [s1, s2]
     net, tv, tags = make_net(both)
-    h1a, _ = tagger_forward(s1, 2, net, tv)
-    h1b, _ = tagger_forward(s2, 2, net, tv)
-    assert np.array_equal(h1a, h1b)
+    h1a = hidden(s1, net, tv, tags)
+    h1b = hidden(s2, net, tv, tags)
+    assert np.array_equal(h1a[1], h1b[1])
     # but a token inside the window does change
-    h1c, _ = tagger_forward(s2, 3, net, tv)
-    assert not np.array_equal(tagger_forward(s1, 3, net, tv)[0], h1c)
+    assert not np.array_equal(h1a[2], h1b[2])
 
 
 def test_encode_sentence_stacks_per_token():

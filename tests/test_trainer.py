@@ -2,6 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import stackprop.parser as parser_mod
+import stackprop.trainer as trainer_mod
 
 from stackprop.errors import StackpropError
 from stackprop.model import (
@@ -13,8 +17,10 @@ from stackprop.model import (
     build_model,
     save,
 )
-from stackprop.parser import parse_corpus, parse_sentence
+from stackprop.nnkernel import OptimizerConfig
+from stackprop.parser import parse_corpus, parse_sentence, score_actions, sentence_word_ids
 from stackprop.synthetic import generate_corpus
+from stackprop.tagger import tag_sentence
 from stackprop.trainer import (
     TAGGER_SOFTMAX_BLOCKS,
     encode_training_data,
@@ -28,8 +34,9 @@ from stackprop.trainer import (
     train_variant,
     window_train,
 )
+from stackprop.transition import unroll
 
-from conftest import make_sentence, tiny_settings
+from conftest import make_sentence, random_tree, tiny_settings
 
 CORPUS = generate_corpus(24, seed=31)
 
@@ -119,6 +126,75 @@ def test_gradient_reaches_selected_word_embeddings_only():
     assert changed <= in_window | {NULL_ID}
     assert changed & in_window
     assert not (changed & out_window)
+
+
+def _recording(module, net, seen):
+    """A forward_batch for ``module`` that records the inputs given to ``net``."""
+    real = module.forward_batch
+
+    def forward(n, inputs, params=None):
+        if n is net:
+            seen.append(inputs)
+        return real(n, inputs, params)
+
+    return forward
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    swap=st.booleans(),
+    mode=st.sampled_from([STACKPROP, PIPELINE]),
+)
+def test_decode_input_matches_training_batch(sizes, seed, swap, mode):
+    """At every oracle step, the parser input the decoder builds equals the
+    matching row of the batch a PARSER update builds from the encoded corpus:
+    sentence-local token rows, global rows and the batch's distinct rows all
+    resolve to the same token."""
+    rng = np.random.default_rng(seed)
+    corpus = [
+        make_sentence(
+            random_tree(n, rng),
+            forms=[f"f{rng.integers(10)}" for _ in range(n)],
+            tags=[str(rng.choice(["A", "B", "C"])) for _ in range(n)],
+            sid=f"s{i}",
+        )
+        for i, n in enumerate(sizes)
+    ]
+    s = tiny_settings()
+    model = build_model(mode, corpus, s.tagger_cfg, s.parser_cfg, swap=swap, seed=0)
+    data = encode_training_data(corpus, model)
+    params = model.parser.inference_params(False)
+
+    decoded, dists = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser_mod, "forward_batch", _recording(parser_mod, model.parser, decoded))
+        for sent in data.sentences:
+            _, acts = tag_sentence(
+                sent, model.tagger, model.tvocabs, model.tags, averaged=False, want_probs=True
+            )
+            dists.append(acts.probs)
+            word_ids = sentence_word_ids(sent, model)
+            for c, _ in unroll(sent, model.system, model.labels, model.tags).steps:
+                score_actions(c, model, acts, word_ids, params)
+    assert len(decoded) == data.n_parse_examples
+
+    n = data.n_parse_examples
+    idx = np.concatenate([rng.permutation(n), rng.integers(0, n, size=3)])
+    train_dists = np.concatenate(dists) if mode == PIPELINE else None
+    batches = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer_mod, "forward_batch", _recording(trainer_mod, model.parser, batches))
+        parser_batch_update(model, data, idx, OptimizerConfig(), train_dists)
+    (batch,) = batches
+
+    assert set(batch) == set(decoded[0])
+    for j, k in enumerate(idx):
+        for name, x in batch.items():
+            # tagger activations come from differently sized matrix products
+            # on the two sides, so they may differ in the last bits
+            np.testing.assert_allclose(x[j], decoded[k][name][0], rtol=1e-12, atol=1e-15)
 
 
 def test_budget_accounting_message():
@@ -269,13 +345,14 @@ def test_pipeline_decodes_with_its_own_tagger_not_jackknife():
     settings = tiny_settings(seed=2, parser_epochs=2, tagger_epochs=2)
     model = pipeline_train(CORPUS, None, settings)
     dev = generate_corpus(4, seed=32)[0]
-    from stackprop.parser import score_actions
+    from stackprop.parser import score_actions, sentence_word_ids
     from stackprop.tagger import tag_sentence
     from stackprop.transition import initial
 
     def first_logits():
         _, acts = tag_sentence(dev, model.tagger, model.tvocabs, model.tags, want_probs=True)
-        return score_actions(initial(dev), acts, model, dev)
+        params = model.parser.inference_params(True)
+        return score_actions(initial(dev), model, acts, sentence_word_ids(dev, model), params)
 
     before = first_logits()
     # the decode-time distributions come from the model's tagger, not from any
