@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
 import sys
@@ -28,39 +29,49 @@ from stackprop.errors import (
     ModelError,
     StackpropError,
 )
-from stackprop.model import MODES, ParserNetworkConfig
-from stackprop.nnkernel import OptimizerConfig
-from stackprop.tagger import TaggerConfig
-from stackprop.trainer import TrainingSchedule, TrainSettings
+from stackprop.model import MODES, STACKPROP
+from stackprop.trainer import TrainSettings
 
 log = logging.getLogger("stackprop")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_MODEL = 0, 1, 2, 3
 
+# flat config key (file key and --flag) -> the TrainSettings fields it sets
+SETTING_FIELDS: dict[str, tuple[str, ...]] = {
+    "swap": ("swap",),
+    "parser_epochs": ("schedule.parser_epochs",),
+    "tagger_epochs": ("schedule.tagger_epochs",),
+    "pretrain_epochs": ("schedule.tagger_pretrain_epochs",),
+    "lambda_weight": ("schedule.lambda_weight",),
+    "eta0": ("optimizer.eta0",),
+    "gamma": ("optimizer.gamma",),
+    "mu": ("optimizer.mu",),
+    "batch_size": ("optimizer.batch_size",),
+    "averaging_start": ("optimizer.averaging_start",),
+    "patience": ("schedule.patience",),
+    "seed": ("schedule.seed",),
+    "h_tagger": ("tagger_cfg.hidden",),
+    "h_parser": ("parser_cfg.hidden",),
+    "d_implicit": ("parser_cfg.d_implicit",),
+    "d_label": ("parser_cfg.d_label",),
+    "d_word": ("tagger_cfg.d_words", "parser_cfg.d_word"),
+    "d_affix": ("tagger_cfg.d_affix",),
+    "d_caps": ("tagger_cfg.d_caps",),
+    "d_symbols": ("tagger_cfg.d_symbols",),
+    "jackknife_folds": ("jackknife_folds",),
+    "embeddings": ("embeddings_path",),
+}
+
+
+def settings_field(settings: TrainSettings, path: str):
+    for name in path.split("."):
+        settings = getattr(settings, name)
+    return settings
+
+
 TRAIN_DEFAULTS: dict[str, object] = {
-    "mode": "stackprop",
-    "swap": False,
-    "parser_epochs": 10,
-    "tagger_epochs": 5,
-    "pretrain_epochs": 1,
-    "lambda_weight": 1.0,
-    "eta0": 0.05,
-    "gamma": 10000.0,
-    "mu": 0.9,
-    "batch_size": 32,
-    "averaging_start": 0,
-    "patience": 3,
-    "seed": 0,
-    "h_tagger": 128,
-    "h_parser": 1024,
-    "d_implicit": 64,
-    "d_label": 32,
-    "d_word": 64,
-    "d_affix": 16,
-    "d_caps": 4,
-    "d_symbols": 8,
-    "jackknife_folds": 5,
-    "embeddings": "",
+    "mode": STACKPROP,
+    **{key: settings_field(TrainSettings(), paths[0]) for key, paths in SETTING_FIELDS.items()},
 }
 
 
@@ -104,10 +115,10 @@ def _coerce(value, template):
     return str(value)
 
 
-def resolve_config(args: argparse.Namespace, file_cfg: dict[str, str]) -> dict:
-    """defaults < config file < explicit CLI flags."""
+def resolve_config(args: argparse.Namespace) -> dict:
+    """defaults < ``--config`` file < explicit CLI flags."""
     resolved = dict(TRAIN_DEFAULTS)
-    for key, raw in file_cfg.items():
+    for key, raw in (read_config_file(args.config) if args.config else {}).items():
         if key not in resolved:
             raise ConfigError(f"unknown config key {key!r}")
         resolved[key] = _coerce(raw, TRAIN_DEFAULTS[key])
@@ -121,39 +132,16 @@ def resolve_config(args: argparse.Namespace, file_cfg: dict[str, str]) -> dict:
 
 
 def settings_from_config(cfg: dict) -> TrainSettings:
-    return TrainSettings(
-        schedule=TrainingSchedule(
-            parser_epochs=cfg["parser_epochs"],
-            tagger_epochs=cfg["tagger_epochs"],
-            tagger_pretrain_epochs=cfg["pretrain_epochs"],
-            lambda_weight=cfg["lambda_weight"],
-            seed=cfg["seed"],
-            patience=cfg["patience"],
-        ),
-        tagger_cfg=TaggerConfig(
-            hidden=cfg["h_tagger"],
-            d_symbols=cfg["d_symbols"],
-            d_caps=cfg["d_caps"],
-            d_affix=cfg["d_affix"],
-            d_words=cfg["d_word"],
-        ),
-        parser_cfg=ParserNetworkConfig(
-            hidden=cfg["h_parser"],
-            d_implicit=cfg["d_implicit"],
-            d_label=cfg["d_label"],
-            d_word=cfg["d_word"],
-        ),
-        optimizer=OptimizerConfig(
-            eta0=cfg["eta0"],
-            gamma=cfg["gamma"],
-            mu=cfg["mu"],
-            batch_size=cfg["batch_size"],
-            averaging_start=cfg["averaging_start"],
-        ),
-        swap=cfg["swap"],
-        embeddings_path=cfg["embeddings"] or None,
-        jackknife_folds=cfg["jackknife_folds"],
-    )
+    """TrainSettings from a resolved flat config; every sub-config is rebuilt
+    through ``replace`` so its own validation runs."""
+    fields: dict[str, dict] = {}
+    for key, paths in SETTING_FIELDS.items():
+        for path in paths:
+            owner, _, name = path.rpartition(".")
+            fields.setdefault(owner, {})[name] = cfg[key]
+    base = TrainSettings()
+    subs = {owner: replace(getattr(base, owner), **f) for owner, f in fields.items() if owner}
+    return replace(base, **fields[""], **subs)
 
 
 def sha256_file(path: str) -> str:
@@ -175,17 +163,12 @@ def load_corpus(path: str) -> list[Sentence]:
 def iter_conllu_blocks(stream: TextIO) -> Iterator[Sentence]:
     """Stream sentences one block at a time (bounded memory)."""
     lines: list[str] = []
-    for line in stream:
-        if line.strip() == "":
-            if lines:
-                for s in parse_conllu("".join(lines)):
-                    yield s
-                lines = []
-        else:
+    for line in itertools.chain(stream, [""]):  # the empty line ends the last block
+        if line.strip():
             lines.append(line)
-    if lines:
-        for s in parse_conllu("".join(lines)):
-            yield s
+        elif lines:
+            yield from parse_conllu("".join(lines))
+            lines = []
 
 
 # subcommands
@@ -203,8 +186,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         train_path = args.train or manifest["inputs"]["train"]["path"]
         dev_path = args.dev or manifest["inputs"].get("dev", {}).get("path")
     else:
-        file_cfg = read_config_file(args.config) if args.config else {}
-        cfg = resolve_config(args, file_cfg)
+        cfg = resolve_config(args)
         train_path, dev_path = args.train, args.dev
     if not train_path:
         raise ConfigError("--train is required")
@@ -388,8 +370,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_jackknife(args: argparse.Namespace) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-    cfg = resolve_config(args, file_cfg)
+    cfg = resolve_config(args)
     settings = settings_from_config(cfg)
     sentences = load_corpus(args.train)
     folds = args.folds or settings.jackknife_folds
@@ -458,17 +439,13 @@ def build_arg_parser() -> _Parser:
     def add_train_flags(sp):
         sp.add_argument("--config", help="key = value config file")
         sp.add_argument("--mode", choices=MODES)
-        sp.add_argument("--swap", action="store_const", const=True)
-        for key in (
-            "parser_epochs", "tagger_epochs", "pretrain_epochs", "patience",
-            "batch_size", "averaging_start", "seed", "h_tagger", "h_parser",
-            "d_implicit", "d_label", "d_word", "d_affix", "d_caps", "d_symbols",
-            "jackknife_folds",
-        ):
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-        for key in ("lambda_weight", "eta0", "gamma", "mu"):
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-        sp.add_argument("--embeddings", help="pretrained word embedding text file")
+        for key, paths in SETTING_FIELDS.items():
+            flag, default = f"--{key.replace('_', '-')}", TRAIN_DEFAULTS[key]
+            sets = f"sets {', '.join(paths)} (default {default!r})"
+            if isinstance(default, bool):
+                sp.add_argument(flag, dest=key, action="store_const", const=True, help=sets)
+            else:
+                sp.add_argument(flag, dest=key, type=type(default), help=sets)
 
     sp = sub.add_parser("train", help="train a model")
     sp.add_argument("--train", help="training CoNLL-U file")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import BinaryIO, Union
 
@@ -12,6 +13,8 @@ from stackprop.errors import ModelError, StackpropError
 from stackprop.nnkernel import (
     FeatureGroupSpec,
     Network,
+    block_shapes,
+    from_header,
     load_model as _load_container,
     save_model as _save_container,
 )
@@ -24,7 +27,28 @@ PIPELINE = "pipeline"
 JOINT = "joint"
 JOINT_STACKPROP = "joint_stackprop"
 WINDOW = "window"
-MODES = (STACKPROP, PIPELINE, JOINT, JOINT_STACKPROP, WINDOW)
+
+
+@dataclass(frozen=True)
+class Variant:
+    """Where the training variants differ: a ``stacked`` parser reads (and
+    trains) the tagger's hidden activations, otherwise the tagger trains alone
+    and the parser reads its tag distributions and word embeddings; ``joint``
+    tags in SHIFT; ``tag_supervision`` interleaves TAGGER updates."""
+
+    stacked: bool
+    joint: bool
+    tag_supervision: bool
+
+
+VARIANTS = {
+    STACKPROP: Variant(stacked=True, joint=False, tag_supervision=True),
+    PIPELINE: Variant(stacked=False, joint=False, tag_supervision=False),
+    JOINT: Variant(stacked=True, joint=True, tag_supervision=False),
+    JOINT_STACKPROP: Variant(stacked=True, joint=True, tag_supervision=True),
+    WINDOW: Variant(stacked=True, joint=False, tag_supervision=False),
+}
+MODES = tuple(VARIANTS)
 
 N_TOKEN_TEMPLATES = 20
 N_LABEL_TEMPLATES = 12
@@ -62,47 +86,39 @@ class StackedModel:
             self.labels, self.tags, self.system, self.root_label, self.root_exclusive
         )
 
+    @property
+    def variant(self) -> Variant:
+        return VARIANTS[self.mode]
+
     def count_parameters(self) -> int:
         return self.tagger.count_parameters() + self.parser.count_parameters()
 
 
-def parser_group_specs(
-    mode: str,
+def parser_layout(
+    variant: Variant,
     tagger_cfg: TaggerConfig,
     parser_cfg: ParserNetworkConfig,
     tags: Vocab,
     labels: Vocab,
     forms: Vocab,
-) -> list[FeatureGroupSpec]:
-    """Parser input layout per variant: stacked modes read 20 dense tagger
-    activations; the pipeline reads 20 raw tag distributions plus 20 word
+) -> tuple[list[FeatureGroupSpec], dict[str, tuple[int, ...]]]:
+    """Parser input groups and extra blocks per variant: stacked variants
+    read 20 dense tagger activations, with a learned ``null_input`` row for
+    empty slots; the pipeline reads 20 raw tag distributions plus 20 word
     embeddings. Both keep 12 discrete label features."""
     label_group = FeatureGroupSpec(
         "labels", N_LABEL_TEMPLATES, labels.size, parser_cfg.d_label
     )
-    if mode == PIPELINE:
-        return [
-            FeatureGroupSpec(
-                "tagdist",
-                N_TOKEN_TEMPLATES,
-                tags.n_classes,
-                tags.n_classes,
-                dense=True,
-                embedded=False,
-            ),
-            FeatureGroupSpec("pwords", N_TOKEN_TEMPLATES, forms.size, parser_cfg.d_word),
-            label_group,
-        ]
-    return [
-        FeatureGroupSpec(
-            "implicit",
-            N_TOKEN_TEMPLATES,
-            tagger_cfg.hidden,
-            parser_cfg.d_implicit,
-            dense=True,
-        ),
-        label_group,
-    ]
+    if variant.stacked:
+        implicit = FeatureGroupSpec(
+            "implicit", N_TOKEN_TEMPLATES, tagger_cfg.hidden, parser_cfg.d_implicit, dense=True
+        )
+        return [implicit, label_group], {"null_input": (tagger_cfg.hidden,)}
+    tagdist = FeatureGroupSpec(
+        "tagdist", N_TOKEN_TEMPLATES, tags.n_classes, tags.n_classes, dense=True, embedded=False
+    )
+    pwords = FeatureGroupSpec("pwords", N_TOKEN_TEMPLATES, forms.size, parser_cfg.d_word)
+    return [tagdist, pwords, label_group], {}
 
 
 def build_model(
@@ -115,25 +131,20 @@ def build_model(
 ) -> StackedModel:
     """Initialize a fresh model: vocabularies from the training corpus,
     uniformly initialized parameters from the seed."""
-    if mode not in MODES:
+    if mode not in VARIANTS:
         raise StackpropError(f"unknown mode {mode!r}")
+    variant = VARIANTS[mode]
     forms, tags, labels = build_vocabs(train_sentences)
     tvocabs = build_tagger_vocabs(train_sentences, forms)
     root_label, root_exclusive = root_label_of(train_sentences, labels)
-    system = TransitionSystem(swap=swap, joint=mode in (JOINT, JOINT_STACKPROP))
+    system = TransitionSystem(swap=swap, joint=variant.joint)
     rng = np.random.default_rng(seed)
     tagger = Network(
         tagger_groups(tvocabs, tagger_cfg), tagger_cfg.hidden, tags.n_classes, rng
     )
     space = ActionSpace(labels, tags, system, root_label, root_exclusive)
-    extra = None if mode == PIPELINE else {"null_input": (tagger_cfg.hidden,)}
-    parser = Network(
-        parser_group_specs(mode, tagger_cfg, parser_cfg, tags, labels, forms),
-        parser_cfg.hidden,
-        space.size,
-        rng,
-        extra_blocks=extra,
-    )
+    groups, extra = parser_layout(variant, tagger_cfg, parser_cfg, tags, labels, forms)
+    parser = Network(groups, parser_cfg.hidden, space.size, rng, extra_blocks=extra)
     return StackedModel(
         mode,
         system,
@@ -161,24 +172,13 @@ def parameter_count(
     swap: bool = False,
 ) -> int:
     """Parameter count of a would-be model, computed from shapes alone."""
-
-    def net_count(groups: list[FeatureGroupSpec], h: int, k: int, extra: int) -> int:
-        emb = sum(g.vocab_size * g.embed_dim for g in groups if g.embedded)
-        width = sum(g.width for g in groups)
-        return emb + width * h + h + h * k + k + extra
-
-    system = TransitionSystem(swap=swap, joint=mode in (JOINT, JOINT_STACKPROP))
+    variant = VARIANTS[mode]
+    system = TransitionSystem(swap=swap, joint=variant.joint)
     n_actions = ActionSpace(labels, tags, system, labels.id_of("root")).size
-    tagger = net_count(
-        tagger_groups(tvocabs, tagger_cfg), tagger_cfg.hidden, tags.n_classes, 0
-    )
-    parser = net_count(
-        parser_group_specs(mode, tagger_cfg, parser_cfg, tags, labels, forms),
-        parser_cfg.hidden,
-        n_actions,
-        0 if mode == PIPELINE else tagger_cfg.hidden,
-    )
-    return tagger + parser
+    groups, extra = parser_layout(variant, tagger_cfg, parser_cfg, tags, labels, forms)
+    tagger = block_shapes(tagger_groups(tvocabs, tagger_cfg), tagger_cfg.hidden, tags.n_classes)
+    parser = block_shapes(groups, parser_cfg.hidden, n_actions, extra)
+    return sum(math.prod(shape) for shape in [*tagger.values(), *parser.values()])
 
 
 def save(
@@ -212,6 +212,9 @@ def save(
 def load(src: Union[str, BinaryIO]) -> StackedModel:
     networks, meta = _load_container(src)
     try:
+        mode = meta["mode"]
+        if mode not in VARIANTS:
+            raise ModelError(f"unknown mode {mode!r} in model header")
         v = meta["vocabs"]
         forms = Vocab(v["forms"])
         tags = Vocab(v["tags"])
@@ -224,20 +227,18 @@ def load(src: Union[str, BinaryIO]) -> StackedModel:
             Vocab(v["suffix3"]),
         )
         return StackedModel(
-            meta["mode"],
-            TransitionSystem(
-                swap=meta["swap"], joint=meta["mode"] in (JOINT, JOINT_STACKPROP)
-            ),
+            mode,
+            TransitionSystem(swap=meta["swap"], joint=VARIANTS[mode].joint),
             forms,
             tags,
             labels,
             tvocabs,
-            TaggerConfig(**meta["tagger_cfg"]),
-            ParserNetworkConfig(**meta["parser_cfg"]),
+            from_header(TaggerConfig, meta["tagger_cfg"]),
+            from_header(ParserNetworkConfig, meta["parser_cfg"]),
             meta["root_label"],
             meta["root_exclusive"],
             networks["tagger"],
             networks["parser"],
         )
-    except KeyError as e:
-        raise ModelError(f"model header missing field {e}")
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ModelError(f"malformed model header: {e!r}") from None

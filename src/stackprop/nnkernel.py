@@ -18,7 +18,7 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
@@ -76,13 +76,30 @@ class OptimizerConfig:
             raise StackpropError(f"bad optimizer config {self}")
 
 
+def block_shapes(
+    groups: Sequence[FeatureGroupSpec],
+    n_hidden: int,
+    n_out: int,
+    extra: Optional[dict[str, tuple[int, ...]]] = None,
+) -> dict[str, tuple[int, ...]]:
+    """Every parameter block of a network, in block order: one embedding
+    matrix per embedded group (``E_<group>``), hidden ``W1``/``b1``, softmax
+    ``W2``/``b2``, then the extra blocks."""
+    shapes = {f"E_{g.name}": (g.vocab_size, g.embed_dim) for g in groups if g.embedded}
+    shapes["W1"] = (sum(g.width for g in groups), n_hidden)
+    shapes["b1"] = (n_hidden,)
+    shapes["W2"] = (n_hidden, n_out)
+    shapes["b2"] = (n_out,)
+    shapes.update(extra or {})
+    return shapes
+
+
 class Network:
     """Parameters and optimizer shadow state for one feed-forward unit.
 
-    Blocks: one embedding matrix per embedded group (``E_<group>``), hidden
-    ``W1``/``b1``, softmax ``W2``/``b2``, plus any extra caller-managed blocks
-    (updated by the optimizer and serialized, but not used by the forward
-    pass here).
+    Blocks are laid out by ``block_shapes``. Extra blocks are caller-managed:
+    updated by the optimizer and serialized, but not used by the forward pass
+    here.
     """
 
     def __init__(
@@ -98,25 +115,14 @@ class Network:
         self.groups = list(groups)
         self.n_hidden = n_hidden
         self.n_out = n_out
-        self.input_width = sum(g.width for g in self.groups)
         self.params: dict[str, np.ndarray] = {}
-        for g in self.groups:
-            if g.embedded:
-                self.params[f"E_{g.name}"] = rng.uniform(
-                    -init_scale, init_scale, size=(g.vocab_size, g.embed_dim)
-                ).astype(DTYPE)
-        self.params["W1"] = rng.uniform(
-            -init_scale, init_scale, size=(self.input_width, n_hidden)
-        ).astype(DTYPE)
-        self.params["b1"] = np.full(n_hidden, hidden_bias, dtype=DTYPE)
-        self.params["W2"] = rng.uniform(
-            -init_scale, init_scale, size=(n_hidden, n_out)
-        ).astype(DTYPE)
-        self.params["b2"] = np.zeros(n_out, dtype=DTYPE)
-        for name, shape in (extra_blocks or {}).items():
-            self.params[name] = rng.uniform(-init_scale, init_scale, size=shape).astype(
-                DTYPE
-            )
+        for name, shape in block_shapes(self.groups, n_hidden, n_out, extra_blocks).items():
+            if name == "b1":
+                self.params[name] = np.full(shape, hidden_bias, dtype=DTYPE)
+            elif name == "b2":
+                self.params[name] = np.zeros(shape, dtype=DTYPE)
+            else:
+                self.params[name] = rng.uniform(-init_scale, init_scale, size=shape).astype(DTYPE)
         self.block_names = list(self.params)
         self.velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.average = {k: v.copy() for k, v in self.params.items()}
@@ -289,28 +295,6 @@ def asgd_step(
 # serialization: versioned container holding any number of networks
 
 
-def _group_to_json(g: FeatureGroupSpec) -> dict:
-    return {
-        "name": g.name,
-        "num_templates": g.num_templates,
-        "vocab_size": g.vocab_size,
-        "embed_dim": g.embed_dim,
-        "dense": g.dense,
-        "embedded": g.embedded,
-    }
-
-
-def _group_from_json(d: dict) -> FeatureGroupSpec:
-    return FeatureGroupSpec(
-        d["name"],
-        d["num_templates"],
-        d["vocab_size"],
-        d["embed_dim"],
-        d["dense"],
-        d["embedded"],
-    )
-
-
 def save_model(
     dest: Union[str, BinaryIO], networks: dict[str, Network], meta: dict
 ) -> None:
@@ -325,7 +309,7 @@ def save_model(
         "networks": [
             {
                 "name": name,
-                "groups": [_group_to_json(g) for g in net.groups],
+                "groups": [asdict(g) for g in net.groups],
                 "n_hidden": net.n_hidden,
                 "n_out": net.n_out,
                 "step": net.step,
@@ -386,26 +370,47 @@ def load_model(src: Union[str, BinaryIO]) -> tuple[dict[str, Network], dict]:
         header = json.loads(view.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelError(f"corrupt model header: {e}")
-    networks: dict[str, Network] = {}
-    for spec in header["networks"]:
-        groups = [_group_from_json(d) for d in spec["groups"]]
-        net = Network.__new__(Network)
-        net.groups = groups
-        net.n_hidden = spec["n_hidden"]
-        net.n_out = spec["n_out"]
-        net.input_width = sum(g.width for g in groups)
-        net.step = spec["step"]
-        net.block_names = [b["name"] for b in spec["blocks"]]
-        shapes = {b["name"]: tuple(b["shape"]) for b in spec["blocks"]}
-        net.avg_count = {b["name"]: b["avg_count"] for b in spec["blocks"]}
-        net.params, net.average, net.velocity = {}, {}, {}
-        for store in (net.params, net.average, net.velocity):
-            for name in net.block_names:
-                shape = shapes[name]
-                count = int(np.prod(shape)) if shape else 1
-                data = view.read(count * 8)
-                if len(data) != count * 8:
-                    raise ModelError("model file truncated inside parameter blocks")
-                store[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        networks[spec["name"]] = net
-    return networks, header["meta"]
+    try:
+        networks = {spec["name"]: _read_network(spec, view) for spec in header["networks"]}
+        meta = header["meta"]
+    except ModelError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, StackpropError) as e:
+        raise ModelError(f"malformed model header: {e!r}") from None
+    if view.read(1):
+        raise ModelError("trailing bytes after the parameter blocks")
+    return networks, meta
+
+
+def from_header(cls, entry: dict):
+    """``cls(**entry)`` for a header entry that must name every field of the
+    dataclass ``cls``, so a dropped field is an error, not a default."""
+    if set(entry) != {f.name for f in fields(cls)}:
+        raise ModelError(f"{cls.__name__} header entry has fields {sorted(entry)}")
+    return cls(**entry)
+
+
+def _read_network(spec: dict, view: io.BytesIO) -> Network:
+    """One network from its header entry and its blocks' bytes."""
+    groups = [from_header(FeatureGroupSpec, d) for d in spec["groups"]]
+    net = Network.__new__(Network)
+    net.groups = groups
+    net.n_hidden = spec["n_hidden"]
+    net.n_out = spec["n_out"]
+    net.step = spec["step"]
+    net.block_names = [b["name"] for b in spec["blocks"]]
+    shapes = {b["name"]: tuple(b["shape"]) for b in spec["blocks"]}
+    expected = block_shapes(groups, net.n_hidden, net.n_out)
+    if len(shapes) != len(net.block_names) or any(shapes.get(k) != v for k, v in expected.items()):
+        raise ModelError(f"blocks of network {spec['name']!r} do not match its groups")
+    net.avg_count = {b["name"]: b["avg_count"] for b in spec["blocks"]}
+    net.params, net.average, net.velocity = {}, {}, {}
+    for store in (net.params, net.average, net.velocity):
+        for name in net.block_names:
+            shape = shapes[name]
+            count = int(np.prod(shape)) if shape else 1
+            data = view.read(count * 8)
+            if len(data) != count * 8:
+                raise ModelError("model file truncated inside parameter blocks")
+            store[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    return net

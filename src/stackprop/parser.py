@@ -17,7 +17,7 @@ import numpy as np
 
 from stackprop.corpus import NULL_ID, Sentence
 from stackprop.errors import StackpropError
-from stackprop.model import N_LABEL_TEMPLATES, N_TOKEN_TEMPLATES, PIPELINE, StackedModel
+from stackprop.model import N_LABEL_TEMPLATES, N_TOKEN_TEMPLATES, StackedModel
 from stackprop.nnkernel import DTYPE, forward_batch
 from stackprop.tagger import TaggerActivations, tag_sentence
 from stackprop.transition import (
@@ -122,7 +122,7 @@ def parser_input(
     slots. The pipeline reads tag distributions (zeros in empty slots) and
     word ids (NULL_ID in empty slots).
     """
-    if model.mode != PIPELINE:
+    if model.variant.stacked:
         dense = gather_activation_rows(rows, acts.hidden, params["null_input"])
         return {"implicit": dense, "labels": labels}
     if acts.probs is None:
@@ -180,7 +180,8 @@ def parse_sentence(
     mask illegal actions, and apply the argmax until terminal.
 
     Returns a copy with pred_head/pred_deprel set (and pred_upos in the joint
-    system, or from the tagger softmax when ``fill_tags`` is true).
+    system, or from the tagger softmax when ``fill_tags`` is true, which is
+    the default for a variant that is not stacked).
     """
     if len(sentence) == 0:
         raise StackpropError("cannot parse an empty sentence")
@@ -202,7 +203,7 @@ def parse_sentence(
         n_steps += 1
     heads = {d: (h, l) for (h, l, d) in c.arcs}
     if fill_tags is None:
-        fill_tags = model.mode == PIPELINE
+        fill_tags = not model.variant.stacked
     joint_tags = dict(c.tags)
     tokens = []
     for t in sentence.tokens:
@@ -234,21 +235,18 @@ def parse_corpus(
     input order regardless of thread count."""
     stats = ParseStats()
     t0 = time.perf_counter()
-    if threads <= 1:
-        out = [
-            parse_sentence(s, model, averaged=averaged, fill_tags=fill_tags, stats=stats)
-            for s in sentences
-        ]
-    else:
-        def work(s: Sentence) -> tuple[Sentence, ParseStats]:
-            local = ParseStats()
-            parsed = parse_sentence(s, model, averaged=averaged, fill_tags=fill_tags, stats=local)
-            return parsed, local
 
+    def work(s: Sentence) -> tuple[Sentence, ParseStats]:
+        local = ParseStats()
+        parsed = parse_sentence(s, model, averaged=averaged, fill_tags=fill_tags, stats=local)
+        return parsed, local
+
+    if threads <= 1:
+        results = [work(s) for s in sentences]
+    else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, sentences))
-        out = [r[0] for r in results]
-        for _, local in results:
-            stats.add(local)
+    for _, local in results:
+        stats.add(local)
     stats.seconds = time.perf_counter() - t0
-    return out, stats
+    return [parsed for parsed, _ in results], stats

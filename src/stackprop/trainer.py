@@ -12,6 +12,7 @@ the tagger's softmax blocks untouched.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Optional
 
@@ -76,7 +77,7 @@ class TrainSettings:
     parser_cfg: ParserNetworkConfig = field(default_factory=ParserNetworkConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     swap: bool = False
-    embeddings_path: Optional[str] = None
+    embeddings_path: str = ""  # pretrained word vectors; empty for none
     jackknife_folds: int = 5
 
 
@@ -269,6 +270,15 @@ def _dev_scores(model: StackedModel, dev: list[Sentence]) -> tuple[float, float]
     return report.uas, report.las
 
 
+def _finite(loss: float, objective: str, update: int) -> float:
+    """The loss of an update, or a StackpropError once training diverged."""
+    if not math.isfinite(loss):
+        raise StackpropError(
+            f"training diverged: {objective} loss is {loss} at update {update} (lower eta0?)"
+        )
+    return loss
+
+
 def run_interleaved(
     model: StackedModel,
     data: EncodedCorpus,
@@ -282,18 +292,22 @@ def run_interleaved(
 ) -> StackedModel:
     """Pretrain the tagger, then interleave TAGGER/PARSER mini-batches with
     probability proportional to the remaining budgets; evaluate dev UAS every
-    epoch-equivalent and keep the best averaged parameters."""
+    epoch-equivalent and keep the best averaged parameters. Raises
+    StackpropError at the first update whose loss is not finite."""
     emit = log_fn or (lambda s: log.info("%s", s))
     n_tag = data.n_tag_examples if tag_supervision else 0
     n_par = data.n_parse_examples
     tag_stream = _Stream(max(data.n_tag_examples, 1), rng)
     par_stream = _Stream(max(n_par, 1), rng)
 
+    updates = 0
     if tag_supervision:
         for _ in range(schedule.tagger_pretrain_epochs):
             for start in range(0, data.n_tag_examples, opt.batch_size):
                 idx = tag_stream.take(min(opt.batch_size, data.n_tag_examples - start))
-                tagger_batch_update(model, data, idx, opt, schedule.lambda_weight)
+                updates += 1
+                loss = tagger_batch_update(model, data, idx, opt, schedule.lambda_weight)
+                _finite(loss, "TAGGER", updates)
 
     remaining_t = schedule.tagger_epochs * n_tag
     remaining_p = schedule.parser_epochs * n_par
@@ -306,18 +320,17 @@ def run_interleaved(
     streak = 0
     loss_t, loss_p, nb_t, nb_p = 0.0, 0.0, 0, 0
     while remaining_t + remaining_p > 0:
+        updates += 1
         if rng.random() < remaining_t / (remaining_t + remaining_p):
             b = min(opt.batch_size, remaining_t)
-            loss_t += tagger_batch_update(
-                model, data, tag_stream.take(b), opt, schedule.lambda_weight
-            )
+            loss = tagger_batch_update(model, data, tag_stream.take(b), opt, schedule.lambda_weight)
+            loss_t += _finite(loss, "TAGGER", updates)
             nb_t += 1
             remaining_t -= b
         else:
             b = min(opt.batch_size, remaining_p)
-            loss_p += parser_batch_update(
-                model, data, par_stream.take(b), opt, train_dists
-            )
+            loss = parser_batch_update(model, data, par_stream.take(b), opt, train_dists)
+            loss_p += _finite(loss, "PARSER", updates)
             nb_p += 1
             remaining_p -= b
         consumed += b
@@ -371,7 +384,7 @@ def stackprop_train(
     settings: TrainSettings,
     log_fn: Optional[Callable[[str], None]] = None,
 ) -> StackedModel:
-    return _train_stacked(STACKPROP, train, dev, settings, tag_supervision=True, log_fn=log_fn)
+    return train_variant(STACKPROP, train, dev, settings, log_fn)
 
 
 def window_train(
@@ -381,7 +394,7 @@ def window_train(
     log_fn: Optional[Callable[[str], None]] = None,
 ) -> StackedModel:
     """The no-tags baseline: same architecture, no POS supervision at all."""
-    return _train_stacked(WINDOW, train, dev, settings, tag_supervision=False, log_fn=log_fn)
+    return train_variant(WINDOW, train, dev, settings, log_fn)
 
 
 def joint_train(
@@ -393,48 +406,34 @@ def joint_train(
 ) -> StackedModel:
     """Tag-augmented SHIFT system; with ``with_stackprop`` the interleaved
     TAGGER updates are kept, so tag supervision is used twice."""
-    mode = JOINT_STACKPROP if with_stackprop else JOINT
-    return _train_stacked(mode, train, dev, settings, tag_supervision=with_stackprop, log_fn=log_fn)
+    return train_variant(JOINT_STACKPROP if with_stackprop else JOINT, train, dev, settings, log_fn)
 
 
-def _train_stacked(
-    mode: str,
-    train: list[Sentence],
-    dev: Optional[list[Sentence]],
-    settings: TrainSettings,
-    tag_supervision: bool,
-    log_fn: Optional[Callable[[str], None]] = None,
-) -> StackedModel:
-    schedule = settings.schedule
-    rng = np.random.default_rng(schedule.seed)
+def _fresh_model(
+    mode: str, sentences: list[Sentence], settings: TrainSettings, rng: np.random.Generator
+) -> tuple[StackedModel, EncodedCorpus]:
+    """A model for ``sentences`` seeded from ``rng`` (pretrained word vectors
+    loaded when configured), and the sentences encoded for it."""
     model = build_model(
         mode,
-        train,
+        sentences,
         settings.tagger_cfg,
         settings.parser_cfg,
         swap=settings.swap,
         seed=int(rng.integers(2**31)),
     )
     _maybe_load_embeddings(model, settings)
-    data = encode_training_data(train, model)
-    if data.skipped:
-        log.warning("skipped %d unrollable sentences", data.skipped)
-    return run_interleaved(
-        model, data, dev, schedule, settings.optimizer, rng, tag_supervision, log_fn=log_fn
-    )
+    return model, encode_training_data(sentences, model)
 
 
 def _maybe_load_embeddings(model: StackedModel, settings: TrainSettings) -> None:
-    if not settings.embeddings_path:
-        return
-    loaded, total = load_pretrained_embeddings(
-        settings.embeddings_path, model.forms, model.tagger.params["E_words"]
-    )
-    log.info("pretrained embeddings: initialized %d of %d word rows", loaded, total)
-    if model.mode == PIPELINE:
-        load_pretrained_embeddings(
-            settings.embeddings_path, model.forms, model.parser.params["E_pwords"]
-        )
+    """Pretrained vectors into every word-embedding block the variant has."""
+    for net, block in ((model.tagger, "E_words"), (model.parser, "E_pwords")):
+        if settings.embeddings_path and block in net.params:
+            loaded, total = load_pretrained_embeddings(
+                settings.embeddings_path, model.forms, net.params[block]
+            )
+            log.info("pretrained embeddings: initialized %d of %d rows of %s", loaded, total, block)
 
 
 def jackknife_tags(
@@ -469,16 +468,7 @@ def jackknife_tags(
         lo, hi = bounds[i], bounds[i + 1]
         held_out = sentences[lo:hi]
         rest = sentences[:lo] + sentences[hi:]
-        fold_model = build_model(
-            STACKPROP,
-            rest,
-            settings.tagger_cfg,
-            settings.parser_cfg,
-            swap=settings.swap,
-            seed=int(rng.integers(2**31)),
-        )
-        _maybe_load_embeddings(fold_model, settings)
-        data = encode_training_data(rest, fold_model)
+        fold_model, data = _fresh_model(STACKPROP, rest, settings, rng)
         train_tagger_only(fold_model, data, epochs, settings.optimizer, rng)
         fold_models.append(fold_model)
         class_map = np.array(
@@ -510,36 +500,8 @@ def pipeline_train(
     log_fn: Optional[Callable[[str], None]] = None,
 ) -> StackedModel:
     """The stacking baseline: an independent tagger plus a parser fed by
-    predicted tag distributions and word embeddings.
-
-    The parser trains on jackknifed distributions; at decode time the
-    distributions come from the final tagger.
-    """
-    schedule = settings.schedule
-    rng = np.random.default_rng(schedule.seed)
-    model = build_model(
-        PIPELINE,
-        train,
-        settings.tagger_cfg,
-        settings.parser_cfg,
-        swap=settings.swap,
-        seed=int(rng.integers(2**31)),
-    )
-    _maybe_load_embeddings(model, settings)
-    data = encode_training_data(train, model)
-    if data.skipped:
-        log.warning("skipped %d unrollable sentences", data.skipped)
-    # the encoder may have projectivized/dropped sentences; jackknife the kept ones
-    _, dists, _ = jackknife_tags(
-        data.sentences, settings.jackknife_folds, settings,
-        seed=int(rng.integers(2**31)), global_tags=model.tags,
-    )
-    epochs = schedule.tagger_pretrain_epochs + schedule.tagger_epochs
-    train_tagger_only(model, data, epochs, settings.optimizer, rng)
-    return run_interleaved(
-        model, data, dev, schedule, settings.optimizer, rng,
-        tag_supervision=False, train_dists=dists, log_fn=log_fn,
-    )
+    predicted tag distributions and word embeddings."""
+    return train_variant(PIPELINE, train, dev, settings, log_fn)
 
 
 def train_variant(
@@ -549,14 +511,24 @@ def train_variant(
     settings: TrainSettings,
     log_fn: Optional[Callable[[str], None]] = None,
 ) -> StackedModel:
-    if mode == STACKPROP:
-        return stackprop_train(train, dev, settings, log_fn)
-    if mode == WINDOW:
-        return window_train(train, dev, settings, log_fn)
-    if mode == JOINT:
-        return joint_train(train, dev, settings, False, log_fn)
-    if mode == JOINT_STACKPROP:
-        return joint_train(train, dev, settings, True, log_fn)
-    if mode == PIPELINE:
-        return pipeline_train(train, dev, settings, log_fn)
-    raise StackpropError(f"unknown training mode {mode!r}")
+    """Train one variant of ``model.VARIANTS``. A variant that is not stacked
+    trains its tagger alone first; its parser trains on jackknifed tag
+    distributions and decodes with the final tagger's."""
+    schedule = settings.schedule
+    rng = np.random.default_rng(schedule.seed)
+    model, data = _fresh_model(mode, train, settings, rng)
+    if data.skipped:
+        log.warning("skipped %d unrollable sentences", data.skipped)
+    train_dists = None
+    if not model.variant.stacked:
+        # the encoder may have projectivized/dropped sentences; jackknife the kept ones
+        _, train_dists, _ = jackknife_tags(
+            data.sentences, settings.jackknife_folds, settings,
+            seed=int(rng.integers(2**31)), global_tags=model.tags,
+        )
+        epochs = schedule.tagger_pretrain_epochs + schedule.tagger_epochs
+        train_tagger_only(model, data, epochs, settings.optimizer, rng)
+    return run_interleaved(
+        model, data, dev, schedule, settings.optimizer, rng,
+        model.variant.tag_supervision, train_dists=train_dists, log_fn=log_fn,
+    )

@@ -309,9 +309,12 @@ class ActionSpace:
         return Action(RIGHT_ARC, label=idx - self._right0 + 2)
 
     def legal_mask(self, c: ParserConfiguration) -> np.ndarray:
-        """Boolean mask over action indices, including label-level root rules:
-        attaching under the sentinel takes the dedicated root label, and a
-        root-exclusive label is masked everywhere else."""
+        """Boolean mask over action indices, including root rules: a token
+        attaches under the sentinel only once the buffer is empty, so a
+        greedy decode yields a single root; that attachment takes the
+        dedicated root label, and a root-exclusive label is masked everywhere
+        else. ``legal_actions`` keeps the unrestricted kinds, so gold trees
+        with several root attachments still unroll."""
         mask = np.zeros(self.size, dtype=bool)
         kinds = legal_actions(c, self.system)
         if SHIFT in kinds or SHIFT_TAG in kinds:
@@ -323,10 +326,13 @@ class ActionSpace:
                 label_ok[self.root_label - 2] = False
             if LEFT_ARC in kinds:
                 mask[self._left0 : self._left0 + self.n_labels] = label_ok
-            if s1 == ROOT and self.root_exclusive and self.root_label >= 2:
-                mask[self._right0 + self.root_label - 2] = True
-            else:
+            if s1 != ROOT:
                 mask[self._right0 : self._right0 + self.n_labels] = label_ok
+            elif not c.buffer:
+                if self.root_exclusive and self.root_label >= 2:
+                    mask[self._right0 + self.root_label - 2] = True
+                else:
+                    mask[self._right0 : self._right0 + self.n_labels] = label_ok
         if SWAP in kinds:
             mask[self._swap] = True
         return mask

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import os
 
 import pytest
 
-from stackprop.cli import main
+from stackprop.cli import SETTING_FIELDS, TRAIN_DEFAULTS, main, settings_field, settings_from_config
 from stackprop.corpus import emit_conllu, parse_conllu
 from stackprop.synthetic import generate_corpus
 
@@ -217,3 +218,44 @@ def test_unknown_config_key_rejected(workdir):
     rc = main(["train", "--config", str(cfg), "--train",
                str(workdir / "train.conllu"), "--model", str(workdir / "y.model")])
     assert rc == 1
+
+
+def test_config_file_eta0_zero_still_fails(workdir):
+    cfg = workdir / "zero.cfg"
+    cfg.write_text("eta0 = 0\n")
+    model = workdir / "zero.model"
+    rc = main(["train", "--config", str(cfg), "--train", str(workdir / "train.conllu"),
+               "--model", str(model)])
+    assert rc != 0
+    assert not model.exists()
+
+
+def _leaf_fields(obj, prefix=""):
+    out = set()
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out |= _leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            out.add(prefix + f.name)
+    return out
+
+
+def test_every_setting_key_lands_in_every_field_it_names():
+    cfg = dict(TRAIN_DEFAULTS)
+    for i, (key, default) in enumerate(TRAIN_DEFAULTS.items()):
+        if isinstance(default, bool):
+            cfg[key] = not default
+        elif isinstance(default, int):
+            cfg[key] = 100 + i
+        elif isinstance(default, float):
+            cfg[key] = (i + 1) / 100
+        else:
+            cfg[key] = f"value-{i}"
+    settings = settings_from_config(cfg)
+    named = set()
+    for key, paths in SETTING_FIELDS.items():
+        for path in paths:
+            assert settings_field(settings, path) == cfg[key], path
+            named.add(path)
+    assert named == _leaf_fields(settings)  # no field is left at its default

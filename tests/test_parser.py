@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackprop.corpus import NULL_ID
 from stackprop.errors import StackpropError
-from stackprop.model import PIPELINE, STACKPROP, ParserNetworkConfig, build_model
+from stackprop.model import JOINT, PIPELINE, STACKPROP, ParserNetworkConfig, build_model
 from stackprop.nnkernel import forward_batch
 from stackprop.parser import (
     NULL_TOKEN,
@@ -17,6 +18,7 @@ from stackprop.parser import (
     score_actions,
     sentence_word_ids,
 )
+from stackprop.synthetic import generate_corpus
 from stackprop.tagger import TaggerConfig, tag_sentence
 from stackprop.transition import (
     SHIFT,
@@ -148,7 +150,8 @@ def test_parser_input_pipeline_layout():
 
 def test_parser_input_width_assertion():
     m = tiny_model()
-    assert m.parser.input_width == 20 * PCFG.d_implicit + 12 * PCFG.d_label
+    # W1 has one row per input unit
+    assert m.parser.params["W1"].shape[0] == 20 * PCFG.d_implicit + 12 * PCFG.d_label
 
 
 def test_embedding_perturbation_sensitivity():
@@ -243,6 +246,40 @@ def test_parse_full_tree_and_stats():
     assert stats.parser_evals <= 4 * 3
 
 
+def is_one_rooted_tree(heads):
+    """Heads (0 for the root) of tokens 1..n form one tree with one root."""
+    if sum(h == 0 for h in heads) != 1:
+        return False
+    for start in range(1, len(heads) + 1):
+        seen, node = set(), start
+        while node != 0:
+            if node in seen:
+                return False
+            seen.add(node)
+            node = heads[node - 1]
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    swap=st.booleans(),
+    mode=st.sampled_from([STACKPROP, PIPELINE, JOINT]),
+    scale=st.sampled_from([0.01, 1.0, 10.0]),
+)
+def test_decode_yields_one_rooted_tree(seed, swap, mode, scale):
+    """Random sentences and random parser weights: every greedy decode is a
+    tree with exactly one root attachment."""
+    corpus = generate_corpus(6, seed=seed, p_nonproj=0.3)
+    m = build_model(mode, corpus, TCFG, PCFG, swap=swap, seed=seed)
+    rng = np.random.default_rng(seed)
+    for block in m.parser.params.values():
+        block[...] = rng.normal(scale=scale, size=block.shape)
+    for s in corpus:
+        heads = [t.pred_head for t in parse_sentence(s, m, averaged=False).tokens]
+        assert is_one_rooted_tree(heads), heads
+
+
 def test_parser_ignores_tagger_softmax_in_stacked_mode():
     m = tiny_model(seed=5)
     before = parse_sentence(I_ATE_FISH, m)
@@ -274,8 +311,6 @@ def test_tagger_runs_once_per_sentence(monkeypatch):
 
 
 def test_parse_corpus_threaded_identical_output():
-    from stackprop.synthetic import generate_corpus
-
     corpus = generate_corpus(12, seed=21)
     m = tiny_model(corpus, seed=2)
     seq, _ = parse_corpus(corpus, m, threads=1)

@@ -324,7 +324,7 @@ def test_pipeline_parser_input_width():
     model = build_model(PIPELINE, CORPUS, s.tagger_cfg, s.parser_cfg, seed=0)
     t = model.tags.n_classes
     expected = 20 * (t + s.parser_cfg.d_word) + 12 * s.parser_cfg.d_label
-    assert model.parser.input_width == expected
+    assert model.parser.params["W1"].shape[0] == expected  # one W1 row per input unit
     assert "null_input" not in model.parser.params
 
 
@@ -408,6 +408,14 @@ def test_train_variant_dispatch():
     for mode in (STACKPROP, WINDOW, JOINT, JOINT_STACKPROP, PIPELINE):
         m = train_variant(mode, CORPUS, None, tiny_settings(parser_epochs=1, tagger_epochs=1))
         assert m.mode == mode
+
+
+def test_divergence_raises_at_first_nonfinite_loss():
+    s = tiny_settings(eta0=1e6)
+    with np.errstate(all="ignore"), pytest.raises(
+        StackpropError, match=r"diverged: PARSER loss is nan at update \d+"
+    ):
+        window_train(generate_corpus(8, seed=1), None, s)
 
 
 def test_swap_training_on_nonprojective_corpus():

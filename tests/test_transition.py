@@ -265,6 +265,17 @@ def test_action_space_mask_respects_legality_and_root_label(simple_vocabs):
     assert labels.id_of("root") not in arc_labels
 
 
+def test_root_attachment_waits_for_empty_buffer(simple_vocabs):
+    labels, tags = simple_vocabs
+    c = replay(I_ATE_FISH, [Action(SHIFT)], STD)  # stack [0, 1], buffer [2, 3]
+    for exclusive in (False, True):
+        space = ActionSpace(labels, tags, STD, labels.id_of("root"), exclusive)
+        legal = [space.decode(i) for i in np.nonzero(space.legal_mask(c))[0]]
+        assert legal == [Action(SHIFT)]
+    # the unmasked kinds still allow it, so multi-root gold trees unroll
+    assert RIGHT_ARC in legal_actions(c, STD)
+
+
 def test_greedy_decode_with_arbitrary_scorer_terminates(simple_vocabs):
     labels, tags = simple_vocabs
     rng = np.random.default_rng(9)
