@@ -133,14 +133,20 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def settings_from_config(cfg: dict) -> TrainSettings:
     """TrainSettings from a resolved flat config; every sub-config is rebuilt
-    through ``replace`` so its own validation runs."""
+    through ``replace`` so its own validation runs, and a value it rejects
+    is a config error."""
     fields: dict[str, dict] = {}
     for key, paths in SETTING_FIELDS.items():
         for path in paths:
             owner, _, name = path.rpartition(".")
             fields.setdefault(owner, {})[name] = cfg[key]
     base = TrainSettings()
-    subs = {owner: replace(getattr(base, owner), **f) for owner, f in fields.items() if owner}
+    try:
+        subs = {
+            owner: replace(getattr(base, owner), **f) for owner, f in fields.items() if owner
+        }
+    except StackpropError as e:
+        raise ConfigError(str(e)) from None
     return replace(base, **fields[""], **subs)
 
 
@@ -373,9 +379,8 @@ def cmd_jackknife(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     settings = settings_from_config(cfg)
     sentences = load_corpus(args.train)
-    folds = args.folds or settings.jackknife_folds
     annotated, _, fold_models = trainer.jackknife_tags(
-        sentences, folds, settings, seed=cfg["seed"]
+        sentences, settings.jackknife_folds, settings, seed=cfg["seed"]
     )
     if args.model_prefix:
         for i, fm in enumerate(fold_models):
@@ -481,7 +486,6 @@ def build_arg_parser() -> _Parser:
     sp = sub.add_parser("jackknife", help="k-fold jackknife tagging")
     sp.add_argument("--train", required=True)
     sp.add_argument("--output", required=True, help="merged tagged corpus")
-    sp.add_argument("--folds", type=int)
     sp.add_argument("--model-prefix", dest="model_prefix",
                     help="write fold models as <prefix>.foldN.model")
     add_train_flags(sp)

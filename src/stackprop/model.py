@@ -18,7 +18,7 @@ from stackprop.nnkernel import (
     load_model as _load_container,
     save_model as _save_container,
 )
-from stackprop.tagger import TaggerConfig, TaggerVocabs, build_tagger_vocabs, tagger_groups
+from stackprop.tagger import AFFIXES, TaggerConfig, TaggerVocabs, build_tagger_vocabs, tagger_groups
 from stackprop.transition import ActionSpace, TransitionSystem
 
 # training variants
@@ -200,10 +200,7 @@ def save(
             "forms": model.forms.entries(),
             "tags": model.tags.entries(),
             "labels": model.labels.entries(),
-            "prefix2": model.tvocabs.prefix2.entries(),
-            "prefix3": model.tvocabs.prefix3.entries(),
-            "suffix2": model.tvocabs.suffix2.entries(),
-            "suffix3": model.tvocabs.suffix3.entries(),
+            **{name: model.tvocabs.affixes[name].entries() for name in AFFIXES},
         },
     }
     _save_container(dest, {"tagger": model.tagger, "parser": model.parser}, meta)
@@ -219,13 +216,7 @@ def load(src: Union[str, BinaryIO]) -> StackedModel:
         forms = Vocab(v["forms"])
         tags = Vocab(v["tags"])
         labels = Vocab(v["labels"])
-        tvocabs = TaggerVocabs(
-            forms,
-            Vocab(v["prefix2"]),
-            Vocab(v["prefix3"]),
-            Vocab(v["suffix2"]),
-            Vocab(v["suffix3"]),
-        )
+        tvocabs = TaggerVocabs(forms, {name: Vocab(v[name]) for name in AFFIXES})
         return StackedModel(
             mode,
             TransitionSystem(swap=meta["swap"], joint=VARIANTS[mode].joint),

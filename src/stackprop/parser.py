@@ -112,15 +112,14 @@ def parser_input(
     rows: np.ndarray,
     labels: np.ndarray,
     acts: TaggerActivations,
-    word_ids: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """The parser's input for B configurations, in training and decoding alike.
 
-    ``rows`` (B, 20) index the per-token tables ``acts`` and ``word_ids``
-    (-1 for an empty slot); ``labels`` (B, 12) are label ids. Stacked
-    variants read tagger activations, with ``params["null_input"]`` in empty
-    slots. The pipeline reads tag distributions (zeros in empty slots) and
-    word ids (NULL_ID in empty slots).
+    ``rows`` (B, 20) index the per-token rows of ``acts`` (-1 for an empty
+    slot); ``labels`` (B, 12) are label ids. Stacked variants read tagger
+    activations, with ``params["null_input"]`` in empty slots. The pipeline
+    reads tag distributions (zeros in empty slots) and word ids (NULL_ID in
+    empty slots).
     """
     if model.variant.stacked:
         dense = gather_activation_rows(rows, acts.hidden, params["null_input"])
@@ -131,26 +130,20 @@ def parser_input(
     dist = np.zeros(rows.shape + (model.tags.n_classes,), dtype=DTYPE)
     dist[real] = acts.probs[rows[real]]
     words = np.full(rows.shape, NULL_ID, dtype=np.int64)
-    words[real] = word_ids[rows[real]]
+    words[real] = acts.words[rows[real]]
     return {"tagdist": dist, "pwords": words, "labels": labels}
-
-
-def sentence_word_ids(sentence: Sentence, model: StackedModel) -> np.ndarray:
-    """Word vocabulary id of each token (lowercased form)."""
-    return np.array([model.forms.id_of(t.form.lower()) for t in sentence.tokens], dtype=np.int64)
 
 
 def score_actions(
     c: ParserConfiguration,
     model: StackedModel,
     acts: TaggerActivations,
-    word_ids: np.ndarray,
     params: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Logits over the full action space (unmasked) for one configuration of
-    a sentence with tagger output ``acts`` and ``word_ids``."""
+    a sentence with tagger output ``acts``."""
     rows, labels = featurize(c)
-    inputs = parser_input(model, params, rows[None], labels[None], acts, word_ids)
+    inputs = parser_input(model, params, rows[None], labels[None], acts)
     return forward_batch(model.parser, inputs, params).logits[0]
 
 
@@ -186,15 +179,13 @@ def parse_sentence(
     if len(sentence) == 0:
         raise StackpropError("cannot parse an empty sentence")
     pred_tags, acts = tag_sentence(
-        sentence, model.tagger, model.tvocabs, model.tags,
-        averaged=averaged, want_probs=True,
+        sentence, model.tagger, model.tvocabs, model.tags, averaged=averaged
     )
-    word_ids = sentence_word_ids(sentence, model)
     params = model.parser.inference_params(averaged)
     c = initial(sentence)
     n_steps = 0
     while not is_terminal(c):
-        logits = score_actions(c, model, acts, word_ids, params)
+        logits = score_actions(c, model, acts, params)
         mask = model.actions.legal_mask(c)
         if not mask.any():
             raise StackpropError(f"non-terminal configuration with no legal action: {c}")

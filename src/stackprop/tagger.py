@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from stackprop.corpus import NULL_ID, Sentence, Vocab
-from stackprop.errors import StackpropError
 from stackprop.nnkernel import (
     FeatureGroupSpec,
     Network,
@@ -35,7 +34,15 @@ N_SYM_VALUES = 3
 WORD_WINDOW = 3
 SHAPE_WINDOW = 1
 
-GROUP_ORDER = ("symbols", "caps", "prefix2", "prefix3", "suffix2", "suffix3", "words")
+# affix feature groups: name -> cut of the lowercased form (short tokens
+# contribute the whole form)
+AFFIXES: dict[str, Callable[[str], str]] = {
+    "prefix2": lambda low: low[:2],
+    "prefix3": lambda low: low[:3],
+    "suffix2": lambda low: low[-2:],
+    "suffix3": lambda low: low[-3:],
+}
+GROUP_ORDER = ("symbols", "caps", *AFFIXES, "words")
 
 
 @dataclass
@@ -52,16 +59,14 @@ class TaggerVocabs:
     """Feature-template vocabularies built from the training corpus."""
 
     words: Vocab
-    prefix2: Vocab
-    prefix3: Vocab
-    suffix2: Vocab
-    suffix3: Vocab
+    affixes: dict[str, Vocab]  # in AFFIXES order
 
 
 @dataclass
 class TaggerActivations:
     hidden: Optional[np.ndarray]  # (n_tokens, H); absent for jackknifed distributions
-    probs: Optional[np.ndarray] = None  # (n_tokens, n_tags)
+    probs: Optional[np.ndarray]  # (n_tokens, n_tags)
+    words: np.ndarray  # (n_tokens,) centre column of the word window: lowercased-form ids
 
 
 def cap_shape(form: str) -> int:
@@ -85,23 +90,9 @@ def symbol_flags(form: str) -> tuple[int, int, int]:
     return tuple(SYM_PRESENT if f else SYM_ABSENT for f in (has_hyphen, has_digit, has_punct))
 
 
-def affixes(form: str) -> tuple[str, str, str, str]:
-    """(prefix2, prefix3, suffix2, suffix3) of the lowercased form; short
-    tokens contribute the whole form."""
-    low = form.lower()
-    return low[:2], low[:3], low[-2:], low[-3:]
-
-
 def build_tagger_vocabs(sentences: list[Sentence], words: Vocab) -> TaggerVocabs:
-    p2, p3, s2, s3 = Vocab(), Vocab(), Vocab(), Vocab()
-    for sent in sentences:
-        for t in sent.tokens:
-            a2, a3, b2, b3 = affixes(t.form)
-            p2.add(a2)
-            p3.add(a3)
-            s2.add(b2)
-            s3.add(b3)
-    return TaggerVocabs(words, p2, p3, s2, s3)
+    lows = [t.form.lower() for sent in sentences for t in sent.tokens]
+    return TaggerVocabs(words, {name: Vocab(map(cut, lows)) for name, cut in AFFIXES.items()})
 
 
 def tagger_groups(vocabs: TaggerVocabs, cfg: TaggerConfig) -> list[FeatureGroupSpec]:
@@ -109,59 +100,36 @@ def tagger_groups(vocabs: TaggerVocabs, cfg: TaggerConfig) -> list[FeatureGroupS
     return [
         FeatureGroupSpec("symbols", 3, N_SYM_VALUES, cfg.d_symbols),
         FeatureGroupSpec("caps", shape_f, N_CAP_VALUES, cfg.d_caps),
-        FeatureGroupSpec("prefix2", shape_f, vocabs.prefix2.size, cfg.d_affix),
-        FeatureGroupSpec("prefix3", shape_f, vocabs.prefix3.size, cfg.d_affix),
-        FeatureGroupSpec("suffix2", shape_f, vocabs.suffix2.size, cfg.d_affix),
-        FeatureGroupSpec("suffix3", shape_f, vocabs.suffix3.size, cfg.d_affix),
+        *(
+            FeatureGroupSpec(name, shape_f, vocabs.affixes[name].size, cfg.d_affix)
+            for name in AFFIXES
+        ),
         FeatureGroupSpec("words", 2 * WORD_WINDOW + 1, vocabs.words.size, cfg.d_words),
     ]
 
 
-def extract_tagger_ids(
-    sentence: Sentence, j: int, vocabs: TaggerVocabs
-) -> dict[str, np.ndarray]:
-    """Feature ids per group for token ``j`` (1-based)."""
-    n = len(sentence)
-    if not 1 <= j <= n:
-        raise StackpropError(f"token index {j} out of range 1..{n}")
-    out: dict[str, np.ndarray] = {}
-    out["symbols"] = np.array(symbol_flags(sentence.token(j).form), dtype=np.int64)
-
-    caps = []
-    pre2, pre3, suf2, suf3 = [], [], [], []
-    for k in range(j - SHAPE_WINDOW, j + SHAPE_WINDOW + 1):
-        if 1 <= k <= n:
-            form = sentence.token(k).form
-            caps.append(cap_shape(form))
-            a2, a3, b2, b3 = affixes(form)
-            pre2.append(vocabs.prefix2.id_of(a2))
-            pre3.append(vocabs.prefix3.id_of(a3))
-            suf2.append(vocabs.suffix2.id_of(b2))
-            suf3.append(vocabs.suffix3.id_of(b3))
-        else:
-            caps.append(NULL_ID)
-            for acc in (pre2, pre3, suf2, suf3):
-                acc.append(NULL_ID)
-    out["caps"] = np.array(caps, dtype=np.int64)
-    out["prefix2"] = np.array(pre2, dtype=np.int64)
-    out["prefix3"] = np.array(pre3, dtype=np.int64)
-    out["suffix2"] = np.array(suf2, dtype=np.int64)
-    out["suffix3"] = np.array(suf3, dtype=np.int64)
-
-    words = []
-    for k in range(j - WORD_WINDOW, j + WORD_WINDOW + 1):
-        if 1 <= k <= n:
-            words.append(vocabs.words.id_of(sentence.token(k).form.lower()))
-        else:
-            words.append(NULL_ID)
-    out["words"] = np.array(words, dtype=np.int64)
-    return out
+def _windows(ids: list[int], radius: int) -> np.ndarray:
+    """(n, 2 * radius + 1): row j holds the ids of tokens j - radius .. j + radius."""
+    padded = np.array([NULL_ID] * radius + ids + [NULL_ID] * radius, dtype=np.int64)
+    return np.stack([padded[k : k + len(ids)] for k in range(2 * radius + 1)], axis=1)
 
 
 def encode_sentence(sentence: Sentence, vocabs: TaggerVocabs) -> dict[str, np.ndarray]:
-    """Stacked feature ids for every token of one sentence: group -> (n, F)."""
-    per_token = [extract_tagger_ids(sentence, j, vocabs) for j in range(1, len(sentence) + 1)]
-    return {name: np.stack([ids[name] for ids in per_token]) for name in GROUP_ORDER}
+    """Feature ids of every token of one sentence, group -> (n, F).
+
+    Each token's values are computed once and then cut into windows; window
+    positions outside the sentence hold NULL_ID.
+    """
+    forms = [t.form for t in sentence.tokens]
+    lows = [form.lower() for form in forms]
+    out = {
+        "symbols": np.array([symbol_flags(form) for form in forms], dtype=np.int64),
+        "caps": _windows([cap_shape(form) for form in forms], SHAPE_WINDOW),
+    }
+    for name, cut in AFFIXES.items():
+        out[name] = _windows([vocabs.affixes[name].id_of(cut(low)) for low in lows], SHAPE_WINDOW)
+    out["words"] = _windows([vocabs.words.id_of(low) for low in lows], WORD_WINDOW)
+    return out
 
 
 def tag_sentence(
@@ -170,9 +138,9 @@ def tag_sentence(
     vocabs: TaggerVocabs,
     tags: Vocab,
     averaged: bool = True,
-    want_probs: bool = False,
 ) -> tuple[list[str], TaggerActivations]:
-    """Predicted tag strings plus cached hidden activations for the parser.
+    """Predicted tag strings plus the activations the parser reads: hidden
+    rows, tag distributions and word ids.
 
     One network evaluation per token; argmax ties break toward the lowest
     tag id.
@@ -181,8 +149,7 @@ def tag_sentence(
     cache = forward_batch(net, inputs, net.inference_params(averaged))
     probs = softmax_batch(cache.logits)
     pred = [tags.class_string(int(k)) for k in probs.argmax(axis=1)]
-    acts = TaggerActivations(cache.h1, probs if want_probs else None)
-    return pred, acts
+    return pred, TaggerActivations(cache.h1, probs, inputs["words"][:, WORD_WINDOW])
 
 
 def load_pretrained_embeddings(path: str, vocab: Vocab, matrix: np.ndarray) -> tuple[int, int]:
@@ -193,7 +160,7 @@ def load_pretrained_embeddings(path: str, vocab: Vocab, matrix: np.ndarray) -> t
     dim = matrix.shape[1]
     with open(path, encoding="utf-8") as f:
         for line in f:
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")  # word2vec ends lines with a space
             if len(parts) != dim + 1:
                 continue
             form = parts[0].lower()

@@ -40,9 +40,10 @@ from stackprop.nnkernel import (
     forward_batch,
     softmax_xent_batch,
 )
-from stackprop.parser import featurize, parse_corpus, parser_input, sentence_word_ids
+from stackprop.parser import featurize, parse_corpus, parser_input
 from stackprop.tagger import (
     GROUP_ORDER,
+    WORD_WINDOW,
     TaggerActivations,
     TaggerConfig,
     encode_sentence,
@@ -90,7 +91,6 @@ class EncodedCorpus:
     tag_inputs: dict[str, np.ndarray]
     tag_gold: np.ndarray
     offsets: np.ndarray
-    word_ids: np.ndarray
     deriv_tokens: np.ndarray
     deriv_labels: np.ndarray
     deriv_gold: np.ndarray
@@ -116,7 +116,6 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
 
     tag_inputs = {name: [] for name in GROUP_ORDER}
     tag_gold: list[int] = []
-    word_ids: list[np.ndarray] = []
     offsets = [0]
     deriv_tokens, deriv_labels, deriv_gold = [], [], []
     skipped = 0
@@ -134,7 +133,6 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
         for name in GROUP_ORDER:
             tag_inputs[name].append(enc[name])
         tag_gold.extend(model.tags.class_index(t.gold_upos) for t in s.tokens)
-        word_ids.append(sentence_word_ids(s, model))
         offsets.append(base + len(s))
         for c, a in deriv.steps:
             rows, labels = featurize(c, base)
@@ -148,7 +146,6 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
         tag_inputs={k: np.concatenate(v) for k, v in tag_inputs.items()},
         tag_gold=np.array(tag_gold, dtype=np.int64),
         offsets=np.array(offsets, dtype=np.int64),
-        word_ids=np.concatenate(word_ids),
         deriv_tokens=np.stack(deriv_tokens),
         deriv_labels=np.stack(deriv_labels),
         deriv_gold=np.array(deriv_gold, dtype=np.int64),
@@ -197,17 +194,18 @@ def parser_batch_update(
     uniq, inv = np.unique(toks.ravel(), return_inverse=True)
     has_null = int(uniq[0] == -1)
     real_rows = uniq[has_null:]
+    words = data.tag_inputs["words"][real_rows, WORD_WINDOW]
     tcache = None
     if train_dists is None:
         tcache = forward_batch(
             model.tagger, {name: data.tag_inputs[name][real_rows] for name in GROUP_ORDER}
         )
-        acts = TaggerActivations(tcache.h1)
+        acts = TaggerActivations(tcache.h1, None, words)
     else:
-        acts = TaggerActivations(None, train_dists[real_rows])
+        acts = TaggerActivations(None, train_dists[real_rows], words)
     inputs = parser_input(
         model, model.parser.params, (inv - has_null).reshape(toks.shape),
-        data.deriv_labels[idx], acts, data.word_ids[real_rows],
+        data.deriv_labels[idx], acts,
     )
     cache = forward_batch(model.parser, inputs)
     _, losses, dlogits = softmax_xent_batch(cache.logits, gold)
@@ -481,8 +479,7 @@ def jackknife_tags(
         known = class_map >= 0
         for j, sent in enumerate(held_out, start=lo):
             pred, acts = tag_sentence(
-                sent, fold_model.tagger, fold_model.tvocabs, fold_model.tags,
-                averaged=True, want_probs=True,
+                sent, fold_model.tagger, fold_model.tvocabs, fold_model.tags, averaged=True
             )
             row0 = offsets[j]
             dists[row0 : row0 + len(sent)][:, class_map[known]] = acts.probs[:, known]

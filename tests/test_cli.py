@@ -140,7 +140,7 @@ def test_jackknife_writes_folds_and_corpus(workdir):
     merged = workdir / "jk.conllu"
     prefix = workdir / "jk"
     rc = main(["jackknife", "--train", str(workdir / "train.conllu"), "--output",
-               str(merged), "--folds", "2", "--model-prefix", str(prefix), "--seed", "2"]
+               str(merged), "--jackknife-folds", "2", "--model-prefix", str(prefix), "--seed", "2"]
               + TINY_FLAGS)
     assert rc == 0
     assert (workdir / "jk.fold0.model").exists()
@@ -226,7 +226,15 @@ def test_config_file_eta0_zero_still_fails(workdir):
     model = workdir / "zero.model"
     rc = main(["train", "--config", str(cfg), "--train", str(workdir / "train.conllu"),
                "--model", str(model)])
-    assert rc != 0
+    assert rc == 1
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("flags", [["--eta0", "0"], ["--mu", "1.5"]], ids=["eta0", "mu"])
+def test_optimizer_flag_rejected_by_its_config_exits_1(workdir, flags):
+    model = workdir / "bad.model"
+    rc = main(["train", "--train", str(workdir / "train.conllu"), "--model", str(model)] + flags)
+    assert rc == 1
     assert not model.exists()
 
 

@@ -16,7 +16,6 @@ from stackprop.parser import (
     parse_sentence,
     parser_input,
     score_actions,
-    sentence_word_ids,
 )
 from stackprop.synthetic import generate_corpus
 from stackprop.tagger import TaggerConfig, tag_sentence
@@ -89,14 +88,10 @@ def test_label_features_track_arcs():
 
 def decode_input(c, sentence, m, averaged=True):
     """The parser input the decoder builds for configuration ``c``."""
-    _, acts = tag_sentence(
-        sentence, m.tagger, m.tvocabs, m.tags, averaged=averaged, want_probs=True
-    )
+    _, acts = tag_sentence(sentence, m.tagger, m.tvocabs, m.tags, averaged=averaged)
     rows, labels = featurize(c)
     params = m.parser.inference_params(averaged)
-    return parser_input(
-        m, params, rows[None], labels[None], acts, sentence_word_ids(sentence, m)
-    )
+    return parser_input(m, params, rows[None], labels[None], acts)
 
 
 def test_featurize_rows_are_zero_based_and_offset():
@@ -135,7 +130,7 @@ def test_parser_input_pipeline_layout():
     m = tiny_model(mode=PIPELINE)
     c = replay(I_ATE_FISH, [Action(SHIFT)], STD)
     toks = feature_tokens(c)
-    _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags, want_probs=True)
+    _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
     inputs = decode_input(c, I_ATE_FISH, m)
     assert set(inputs) == {"tagdist", "pwords", "labels"}
     for i, tok in enumerate(toks):
@@ -184,8 +179,7 @@ def test_zero_weights_uniform_over_legal_actions():
         m.parser.params[k][:] = 0.0
     _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
     c = initial(I_ATE_FISH)
-    word_ids = sentence_word_ids(I_ATE_FISH, m)
-    logits = score_actions(c, m, acts, word_ids, m.parser.inference_params(False))
+    logits = score_actions(c, m, acts, m.parser.inference_params(False))
     assert np.allclose(logits, logits[0])
     mask = m.actions.legal_mask(c)
     masked = logits.copy()
@@ -199,8 +193,7 @@ def test_argmax_invariant_to_constant_shift():
     m = tiny_model(seed=3)
     _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
     c = initial(I_ATE_FISH)
-    word_ids = sentence_word_ids(I_ATE_FISH, m)
-    logits = score_actions(c, m, acts, word_ids, m.parser.inference_params(True))
+    logits = score_actions(c, m, acts, m.parser.inference_params(True))
     mask = m.actions.legal_mask(c)
     a = logits.copy()
     a[~mask] = -np.inf

@@ -1,9 +1,10 @@
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackprop.corpus import NULL_ID, UNKNOWN_ID, build_vocabs
-from stackprop.errors import StackpropError
+from stackprop.nnkernel import softmax_batch
 from stackprop.tagger import (
+    AFFIXES,
     CAP_ALLCAPS,
     CAP_INITIAL,
     CAP_LOWER,
@@ -13,12 +14,11 @@ from stackprop.tagger import (
     SYM_ABSENT,
     SYM_PRESENT,
     TaggerConfig,
-    affixes,
     build_tagger_vocabs,
     cap_shape,
     encode_sentence,
-    extract_tagger_ids,
     load_pretrained_embeddings,
+    symbol_flags,
     tag_sentence,
     tagger_groups,
 )
@@ -41,10 +41,21 @@ def test_cap_shape_values():
     assert cap_shape("Re-enter") == CAP_INITIAL
 
 
+def token_ids(sentence, j, tv):
+    """Feature ids of token ``j`` (1-based), group -> (F,)."""
+    return {name: ids[j - 1] for name, ids in encode_sentence(sentence, tv).items()}
+
+
 def test_affixes_short_tokens_use_whole_form():
-    assert affixes("a") == ("a", "a", "a", "a")
-    assert affixes("ab") == ("ab", "ab", "ab", "ab")
-    assert affixes("Enter") == ("en", "ent", "er", "ter")
+    def cuts(form):
+        return tuple(cut(form.lower()) for cut in AFFIXES.values())
+
+    assert tuple(AFFIXES) == ("prefix2", "prefix3", "suffix2", "suffix3")
+    assert cuts("a") == ("a", "a", "a", "a")
+    assert cuts("ab") == ("ab", "ab", "ab", "ab")
+    assert cuts("Enter") == ("en", "ent", "er", "ter")
+    tv, _ = build([make_sentence([0], forms=["Enter"])])
+    assert [tv.affixes[name].entries() for name in AFFIXES] == [["en"], ["ent"], ["er"], ["ter"]]
 
 
 def test_template_inventory():
@@ -64,7 +75,7 @@ def test_template_inventory():
 def test_boundary_positions_are_null_not_unknown():
     s = make_sentence([0], forms=["word"])
     tv, _ = build([s])
-    ids = extract_tagger_ids(s, 1, tv)
+    ids = token_ids(s, 1, tv)
     for name in ("caps", "prefix2", "prefix3", "suffix2", "suffix3"):
         assert ids[name][0] == NULL_ID and ids[name][2] == NULL_ID
     assert ids["caps"][1] == CAP_LOWER
@@ -80,7 +91,7 @@ def test_unknown_form_maps_to_unknown_not_null():
     train = make_sentence([0], forms=["known"])
     tv, _ = build([train])
     test = make_sentence([0], forms=["mystery"])
-    ids = extract_tagger_ids(test, 1, tv)
+    ids = token_ids(test, 1, tv)
     assert ids["words"][3] == UNKNOWN_ID
     assert ids["prefix2"][1] == UNKNOWN_ID
 
@@ -88,27 +99,18 @@ def test_unknown_form_maps_to_unknown_not_null():
 def test_re_enter_feature_case():
     s = make_sentence([0, 1], forms=["Re-enter", "now"])
     tv, _ = build([s])
-    ids = extract_tagger_ids(s, 1, tv)
+    ids = token_ids(s, 1, tv)
     assert list(ids["symbols"]) == [SYM_PRESENT, SYM_ABSENT, SYM_PRESENT]
     assert ids["caps"][1] == CAP_INITIAL
-    assert ids["prefix2"][1] == tv.prefix2.id_of("re")
-    assert ids["suffix3"][1] == tv.suffix3.id_of("ter")
+    assert ids["prefix2"][1] == tv.affixes["prefix2"].id_of("re")
+    assert ids["suffix3"][1] == tv.affixes["suffix3"].id_of("ter")
 
 
 def test_symbol_digit_detection():
     s = make_sentence([0], forms=["x42"])
     tv, _ = build([s])
-    ids = extract_tagger_ids(s, 1, tv)
+    ids = token_ids(s, 1, tv)
     assert list(ids["symbols"]) == [SYM_ABSENT, SYM_PRESENT, SYM_ABSENT]
-
-
-def test_out_of_range_token_errors():
-    s = make_sentence([0])
-    tv, _ = build([s])
-    with pytest.raises(StackpropError):
-        extract_tagger_ids(s, 2, tv)
-    with pytest.raises(StackpropError):
-        extract_tagger_ids(s, 0, tv)
 
 
 def make_net(sentences, cfg=None, seed=0):
@@ -129,7 +131,7 @@ def test_zero_weights_give_uniform_tag_distribution():
     net, tv, tags = make_net([I_ATE_FISH])
     for k in ("W2", "b2"):
         net.params[k][:] = 0.0
-    _, acts = tag_sentence(I_ATE_FISH, net, tv, tags, averaged=False, want_probs=True)
+    _, acts = tag_sentence(I_ATE_FISH, net, tv, tags, averaged=False)
     assert np.allclose(acts.probs, 1.0 / tags.n_classes)
 
 
@@ -163,12 +165,13 @@ def test_activations_independent_of_softmax_parameters():
     assert np.array_equal(acts1.hidden, acts2.hidden)
 
 
-def test_activations_identical_with_or_without_probs():
+def test_probs_are_the_softmax_of_the_hidden_rows():
     net, tv, tags = make_net([I_ATE_FISH])
-    _, a1 = tag_sentence(I_ATE_FISH, net, tv, tags, want_probs=False)
-    _, a2 = tag_sentence(I_ATE_FISH, net, tv, tags, want_probs=True)
-    assert np.array_equal(a1.hidden, a2.hidden)
-    assert a1.probs is None and a2.probs is not None
+    pred, acts = tag_sentence(I_ATE_FISH, net, tv, tags)
+    avg = net.inference_params(True)
+    expected = softmax_batch(acts.hidden @ avg["W2"] + avg["b2"])
+    assert np.allclose(acts.probs, expected, rtol=1e-12, atol=0)
+    assert pred == [tags.class_string(int(k)) for k in expected.argmax(axis=1)]
 
 
 def test_window_locality_radius_three():
@@ -186,14 +189,71 @@ def test_window_locality_radius_three():
     assert not np.array_equal(h1a[2], h1b[2])
 
 
+def reference_ids(sentence, j, tv):
+    """Token ``j``'s feature ids, computed position by position over its
+    windows (NULL_ID outside the sentence)."""
+    n = len(sentence)
+
+    def window(radius, value):
+        return [
+            value(sentence.token(k).form) if 1 <= k <= n else NULL_ID
+            for k in range(j - radius, j + radius + 1)
+        ]
+
+    cuts = {
+        "prefix2": lambda f: f.lower()[:2],
+        "prefix3": lambda f: f.lower()[:3],
+        "suffix2": lambda f: f.lower()[-2:],
+        "suffix3": lambda f: f.lower()[-3:],
+    }
+    out = {"symbols": list(symbol_flags(sentence.token(j).form)), "caps": window(1, cap_shape)}
+    for name, cut in cuts.items():
+        out[name] = window(1, lambda f, name=name, cut=cut: tv.affixes[name].id_of(cut(f)))
+    out["words"] = window(3, lambda f: tv.words.id_of(f.lower()))
+    return out
+
+
 def test_encode_sentence_stacks_per_token():
     net, tv, _ = make_net([I_ATE_FISH])
     enc = encode_sentence(I_ATE_FISH, tv)
-    for name, arr in enc.items():
-        assert arr.shape[0] == 3
-    per = extract_tagger_ids(I_ATE_FISH, 2, tv)
-    for name in GROUP_ORDER:
-        assert np.array_equal(enc[name][1], per[name])
+    assert list(enc) == list(GROUP_ORDER)
+    for j in (1, 2, 3):
+        ref = reference_ids(I_ATE_FISH, j, tv)
+        for name in GROUP_ORDER:
+            assert enc[name].shape[0] == 3
+            assert list(enc[name][j - 1]) == ref[name]
+
+
+# forms that stress casing, affix cuts and the symbol flags: one character,
+# digits, hyphens, and letters whose lowercase form changes length
+ODD_FORMS = ["a", "-", "7", "x-1", "42", "Re-enter", "İstanbul", "ẞ", "ǅemal", "ΣΑΣ", "ﬁne",
+             "Ⅻ", "٣٤", "ß", "e\u0301", "日本", "!?", "co-op", "A"]
+FORM = st.one_of(
+    st.sampled_from(ODD_FORMS),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+            min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    forms=st.lists(FORM, min_size=1, max_size=12),
+    known=st.lists(st.booleans(), min_size=12, max_size=12),
+)
+def test_encode_sentence_matches_per_token_windows(forms, known):
+    """One pass per sentence gives every token's per-position window ids,
+    and the tagger's word ids are the form vocabulary ids of its tokens."""
+    sent = make_sentence([0] * len(forms), forms=forms)
+    train_forms = [f for f, keep in zip(forms, known) if keep] or ["other"]
+    net, tv, tags = make_net([make_sentence([0] * len(train_forms), forms=train_forms)])
+    enc = encode_sentence(sent, tv)
+    for j in range(1, len(forms) + 1):
+        ref = reference_ids(sent, j, tv)
+        for name in GROUP_ORDER:
+            assert enc[name].dtype == np.int64
+            assert list(enc[name][j - 1]) == ref[name], (name, j)
+    words = tag_sentence(sent, net, tv, tags)[1].words
+    assert list(words) == [tv.words.id_of(f.lower()) for f in forms]
 
 
 def test_pretrained_embedding_loading(tmp_path):
@@ -210,3 +270,21 @@ def test_pretrained_embedding_loading(tmp_path):
     assert loaded == 1 and total == tv.words.size
     assert np.allclose(matrix[tv.words.id_of("alpha")], [1.0, 2.0, 3.0])
     assert np.allclose(matrix[tv.words.id_of("beta")], 0.0)
+
+
+def test_pretrained_embeddings_with_trailing_space_or_crlf(tmp_path):
+    """The C word2vec tool ends each line with a space; files edited on
+    Windows end lines with CRLF. Both load like plain lines."""
+    s = make_sentence([0, 1], forms=["alpha", "beta"])
+    tv, _ = build([s])
+    for name, text in (
+        ("space.txt", "2 3\nalpha 1.0 2.0 3.0 \nbeta 4.0 5.0 6.0 \n"),
+        ("crlf.txt", "alpha 1.0 2.0 3.0\r\nbeta 4.0 5.0 6.0\r\n"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        matrix = np.zeros((tv.words.size, 3))
+        loaded, _ = load_pretrained_embeddings(str(path), tv.words, matrix)
+        assert loaded == 2, name
+        assert np.array_equal(matrix[tv.words.id_of("alpha")], [1.0, 2.0, 3.0])
+        assert np.array_equal(matrix[tv.words.id_of("beta")], [4.0, 5.0, 6.0])

@@ -18,7 +18,7 @@ from stackprop.model import (
     save,
 )
 from stackprop.nnkernel import OptimizerConfig
-from stackprop.parser import parse_corpus, parse_sentence, score_actions, sentence_word_ids
+from stackprop.parser import parse_corpus, parse_sentence, score_actions
 from stackprop.synthetic import generate_corpus
 from stackprop.tagger import tag_sentence
 from stackprop.trainer import (
@@ -171,13 +171,10 @@ def test_decode_input_matches_training_batch(sizes, seed, swap, mode):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parser_mod, "forward_batch", _recording(parser_mod, model.parser, decoded))
         for sent in data.sentences:
-            _, acts = tag_sentence(
-                sent, model.tagger, model.tvocabs, model.tags, averaged=False, want_probs=True
-            )
+            _, acts = tag_sentence(sent, model.tagger, model.tvocabs, model.tags, averaged=False)
             dists.append(acts.probs)
-            word_ids = sentence_word_ids(sent, model)
             for c, _ in unroll(sent, model.system, model.labels, model.tags).steps:
-                score_actions(c, model, acts, word_ids, params)
+                score_actions(c, model, acts, params)
     assert len(decoded) == data.n_parse_examples
 
     n = data.n_parse_examples
@@ -345,14 +342,13 @@ def test_pipeline_decodes_with_its_own_tagger_not_jackknife():
     settings = tiny_settings(seed=2, parser_epochs=2, tagger_epochs=2)
     model = pipeline_train(CORPUS, None, settings)
     dev = generate_corpus(4, seed=32)[0]
-    from stackprop.parser import score_actions, sentence_word_ids
     from stackprop.tagger import tag_sentence
     from stackprop.transition import initial
 
     def first_logits():
-        _, acts = tag_sentence(dev, model.tagger, model.tvocabs, model.tags, want_probs=True)
+        _, acts = tag_sentence(dev, model.tagger, model.tvocabs, model.tags)
         params = model.parser.inference_params(True)
-        return score_actions(initial(dev), model, acts, sentence_word_ids(dev, model), params)
+        return score_actions(initial(dev), model, acts, params)
 
     before = first_logits()
     # the decode-time distributions come from the model's tagger, not from any
