@@ -145,9 +145,9 @@ def settings_from_config(cfg: dict) -> TrainSettings:
         subs = {
             owner: replace(getattr(base, owner), **f) for owner, f in fields.items() if owner
         }
+        return replace(base, **fields[""], **subs)
     except StackpropError as e:
         raise ConfigError(str(e)) from None
-    return replace(base, **fields[""], **subs)
 
 
 def sha256_file(path: str) -> str:
@@ -198,9 +198,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("--train is required")
     if not args.model:
         raise ConfigError("--model output path is required")
+    settings = settings_from_config(cfg)
     train_sents = load_corpus(train_path)
     dev_sents = load_corpus(dev_path) if dev_path else None
-    settings = settings_from_config(cfg)
     t0 = time.perf_counter()
     trained = trainer.train_variant(
         cfg["mode"], train_sents, dev_sents, settings,
@@ -240,7 +240,7 @@ def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
     oov = total_forms = 0
     stats = parser_mod.ParseStats()
     t0 = time.perf_counter()
-    chunk_size = max(args.threads, 1) * 16
+    chunk_size = args.threads * parser_mod.LOCKSTEP_SENTENCES  # a full group per thread
     fin = _open_in(args.input)
     fout = _open_out(args.output)
     try:
@@ -303,9 +303,13 @@ def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
         )
     if stats.sentences and seconds > 0:
         evals = stats.tagger_evals + stats.parser_evals
+        batching = (
+            f", {stats.parser_evals / stats.parser_batches:.1f} configurations per parser forward"
+            if stats.parser_batches else ""
+        )
         log.info(
-            "processed %d sentences in %.2fs (%.1f sentences/s, %.1f network evals/s)",
-            stats.sentences, seconds, stats.sentences / seconds, evals / seconds,
+            "processed %d sentences in %.2fs (%.1f sentences/s, %.1f network evals/s%s)",
+            stats.sentences, seconds, stats.sentences / seconds, evals / seconds, batching,
         )
     return EXIT_OK
 
@@ -437,6 +441,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_arg_parser() -> _Parser:
     p = _Parser(prog="stackprop", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -469,7 +480,7 @@ def build_arg_parser() -> _Parser:
         sp.add_argument("--model", required=True)
         sp.add_argument("--input", help="input file (default stdin)")
         sp.add_argument("--output", help="output file (default stdout)")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=positive_int, default=1)
         sp.add_argument("--emit-activations", dest="emit_activations",
                         help="dump per-token hidden vectors to this file")
         sp.set_defaults(func=func)

@@ -3,7 +3,9 @@
 Feature templates index tokens in the configuration; the selected tokens'
 tagger activations form the parser's dense input group (discrete label ids of
 already-built arcs form the other). Decoding computes tagger activations once
-per sentence and re-indexes the cached rows at every step.
+per sentence and re-indexes the cached rows at every step. Sentences are
+decoded in lockstep groups: each step scores every live configuration of the
+group with one parser forward.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from stackprop.transition import (
 )
 
 NULL_TOKEN = -1  # template slot with no token (or the root sentinel)
+# sentences decoded in lockstep: their configurations share each parser
+# forward, and the group bounds the concatenated tagger activations
+LOCKSTEP_SENTENCES = 64
 
 
 def _side_children(c: ParserConfiguration, token: int) -> tuple[list[int], list[int]]:
@@ -135,16 +140,20 @@ def parser_input(
 
 
 def score_actions(
-    c: ParserConfiguration,
+    configs: list[ParserConfiguration],
+    bases: list[int],
     model: StackedModel,
     acts: TaggerActivations,
     params: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Logits over the full action space (unmasked) for one configuration of
-    a sentence with tagger output ``acts``."""
-    rows, labels = featurize(c)
-    inputs = parser_input(model, params, rows[None], labels[None], acts)
-    return forward_batch(model.parser, inputs, params).logits[0]
+    """(B, n_actions) logits over the full action space (unmasked), one row
+    per configuration; ``configs[i]`` belongs to the sentence whose first
+    token is row ``bases[i]`` of ``acts``. One parser forward for all B."""
+    feats = [featurize(c, base) for c, base in zip(configs, bases)]
+    rows = np.stack([r for r, _ in feats])
+    labels = np.stack([l for _, l in feats])
+    inputs = parser_input(model, params, rows, labels, acts)
+    return forward_batch(model.parser, inputs, params).logits
 
 
 @dataclass
@@ -152,7 +161,8 @@ class ParseStats:
     sentences: int = 0
     tokens: int = 0
     tagger_evals: int = 0
-    parser_evals: int = 0
+    parser_evals: int = 0  # configurations scored
+    parser_batches: int = 0  # parser forward calls (one per lockstep step)
     seconds: float = 0.0
 
     def add(self, other: "ParseStats") -> None:
@@ -160,6 +170,78 @@ class ParseStats:
         self.tokens += other.tokens
         self.tagger_evals += other.tagger_evals
         self.parser_evals += other.parser_evals
+        self.parser_batches += other.parser_batches
+
+
+def _decode(
+    sentences: list[Sentence],
+    model: StackedModel,
+    averaged: bool,
+    fill_tags: Optional[bool],
+    stats: Optional[ParseStats],
+) -> list[Sentence]:
+    """Greedy lockstep decode of a group of sentences: one tagger pass per
+    sentence, then at every step one parser forward over all configurations
+    still live; each applies its best legal action, and a configuration is
+    retired once terminal."""
+    if any(len(s) == 0 for s in sentences):
+        raise StackpropError("cannot parse an empty sentence")
+    tagged = [
+        tag_sentence(s, model.tagger, model.tvocabs, model.tags, averaged=averaged)
+        for s in sentences
+    ]
+    acts = TaggerActivations(
+        np.concatenate([a.hidden for _, a in tagged]),
+        np.concatenate([a.probs for _, a in tagged]),
+        np.concatenate([a.words for _, a in tagged]),
+    )
+    bases = np.cumsum([0] + [len(s) for s in sentences[:-1]]).tolist()
+    params = model.parser.inference_params(averaged)
+    configs = [initial(s) for s in sentences]
+    live = list(range(len(sentences)))
+    n_steps = n_batches = 0
+    while live:
+        logits = score_actions(
+            [configs[i] for i in live], [bases[i] for i in live], model, acts, params
+        )
+        for i, scores in zip(live, logits):
+            mask = model.actions.legal_mask(configs[i])
+            if not mask.any():
+                raise StackpropError(
+                    f"non-terminal configuration with no legal action: {configs[i]}"
+                )
+            scores[~mask] = -np.inf
+            action = model.actions.decode(int(np.argmax(scores)))
+            configs[i] = apply(configs[i], action, model.system)
+        n_steps += len(live)
+        n_batches += 1
+        live = [i for i in live if not is_terminal(configs[i])]
+    if fill_tags is None:
+        fill_tags = not model.variant.stacked
+    out = []
+    for sentence, c, (pred_tags, _) in zip(sentences, configs, tagged):
+        heads = {d: (h, l) for (h, l, d) in c.arcs}
+        joint_tags = dict(c.tags)
+        tokens = []
+        for t in sentence.tokens:
+            h, l = heads[t.index]
+            pred_upos = t.pred_upos
+            if model.system.joint:
+                pred_upos = model.tags.string_of(joint_tags[t.index])
+            elif fill_tags:
+                pred_upos = pred_tags[t.index - 1]
+            tokens.append(
+                replace(t, pred_head=h, pred_deprel=model.labels.string_of(l), pred_upos=pred_upos)
+            )
+        out.append(Sentence(tokens, id=sentence.id))
+    if stats is not None:
+        n_tokens = sum(len(s) for s in sentences)
+        stats.sentences += len(sentences)
+        stats.tokens += n_tokens
+        stats.tagger_evals += n_tokens
+        stats.parser_evals += n_steps
+        stats.parser_batches += n_batches
+    return out
 
 
 def parse_sentence(
@@ -169,50 +251,15 @@ def parse_sentence(
     fill_tags: Optional[bool] = None,
     stats: Optional[ParseStats] = None,
 ) -> Sentence:
-    """Greedy decode: one tagger pass for activations, then repeatedly score,
-    mask illegal actions, and apply the argmax until terminal.
+    """Greedy decode of one sentence: one tagger pass for activations, then
+    repeatedly score, mask illegal actions, and apply the argmax until
+    terminal.
 
     Returns a copy with pred_head/pred_deprel set (and pred_upos in the joint
     system, or from the tagger softmax when ``fill_tags`` is true, which is
     the default for a variant that is not stacked).
     """
-    if len(sentence) == 0:
-        raise StackpropError("cannot parse an empty sentence")
-    pred_tags, acts = tag_sentence(
-        sentence, model.tagger, model.tvocabs, model.tags, averaged=averaged
-    )
-    params = model.parser.inference_params(averaged)
-    c = initial(sentence)
-    n_steps = 0
-    while not is_terminal(c):
-        logits = score_actions(c, model, acts, params)
-        mask = model.actions.legal_mask(c)
-        if not mask.any():
-            raise StackpropError(f"non-terminal configuration with no legal action: {c}")
-        logits[~mask] = -np.inf
-        c = apply(c, model.actions.decode(int(np.argmax(logits))), model.system)
-        n_steps += 1
-    heads = {d: (h, l) for (h, l, d) in c.arcs}
-    if fill_tags is None:
-        fill_tags = not model.variant.stacked
-    joint_tags = dict(c.tags)
-    tokens = []
-    for t in sentence.tokens:
-        h, l = heads[t.index]
-        pred_upos = t.pred_upos
-        if model.system.joint:
-            pred_upos = model.tags.string_of(joint_tags[t.index])
-        elif fill_tags:
-            pred_upos = pred_tags[t.index - 1]
-        tokens.append(
-            replace(t, pred_head=h, pred_deprel=model.labels.string_of(l), pred_upos=pred_upos)
-        )
-    if stats is not None:
-        stats.sentences += 1
-        stats.tokens += len(sentence)
-        stats.tagger_evals += len(sentence)
-        stats.parser_evals += n_steps
-    return Sentence(tokens, id=sentence.id)
+    return _decode([sentence], model, averaged, fill_tags, stats)[0]
 
 
 def parse_corpus(
@@ -222,22 +269,29 @@ def parse_corpus(
     averaged: bool = True,
     fill_tags: Optional[bool] = None,
 ) -> tuple[list[Sentence], ParseStats]:
-    """Parse a corpus with an optional thread pool; output order matches
-    input order regardless of thread count."""
-    stats = ParseStats()
+    """Parse a corpus in lockstep groups of consecutive sentences
+    (``LOCKSTEP_SENTENCES`` each), mapped over a thread pool when
+    ``threads > 1``. The groups do not depend on the thread count, and the
+    output order matches the input order."""
     t0 = time.perf_counter()
+    groups = [
+        sentences[i : i + LOCKSTEP_SENTENCES]
+        for i in range(0, len(sentences), LOCKSTEP_SENTENCES)
+    ]
 
-    def work(s: Sentence) -> tuple[Sentence, ParseStats]:
+    def work(group: list[Sentence]) -> tuple[list[Sentence], ParseStats]:
         local = ParseStats()
-        parsed = parse_sentence(s, model, averaged=averaged, fill_tags=fill_tags, stats=local)
-        return parsed, local
+        return _decode(group, model, averaged, fill_tags, local), local
 
     if threads <= 1:
-        results = [work(s) for s in sentences]
+        results = [work(g) for g in groups]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, sentences))
-    for _, local in results:
+            results = list(pool.map(work, groups))
+    parsed: list[Sentence] = []
+    stats = ParseStats()
+    for group_parsed, local in results:
+        parsed += group_parsed
         stats.add(local)
     stats.seconds = time.perf_counter() - t0
-    return [parsed for parsed, _ in results], stats
+    return parsed, stats

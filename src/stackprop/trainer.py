@@ -81,6 +81,10 @@ class TrainSettings:
     embeddings_path: str = ""  # pretrained word vectors; empty for none
     jackknife_folds: int = 5
 
+    def __post_init__(self):
+        if self.jackknife_folds < 2:
+            raise StackpropError("jackknifing needs k >= 2 folds")
+
 
 @dataclass
 class EncodedCorpus:

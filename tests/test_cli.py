@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 
 import pytest
 
+from stackprop import trainer
 from stackprop.cli import SETTING_FIELDS, TRAIN_DEFAULTS, main, settings_field, settings_from_config
 from stackprop.corpus import emit_conllu, parse_conllu
 from stackprop.synthetic import generate_corpus
@@ -73,6 +75,24 @@ def test_parse_roundtrip_and_threads(trained_model, workdir, capsys):
     assert out1.read_bytes() == out4.read_bytes()
     reparsed = parse_conllu(out1.read_text())
     assert len(reparsed) == 6
+
+
+def test_parse_logs_configurations_per_parser_forward(trained_model, workdir, caplog):
+    caplog.set_level(logging.INFO, logger="stackprop")
+    rc = main(["parse", "--model", str(trained_model), "--input",
+               str(workdir / "dev.conllu"), "--output", os.devnull])
+    assert rc == 0
+    assert "configurations per parser forward" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["parse", "tag"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(command, threads, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--model", "unused.model", "--input", os.devnull,
+              "--output", os.devnull, "--threads", threads])
+    assert e.value.code == 1
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_parse_empty_input_empty_output(trained_model, workdir):
@@ -147,6 +167,23 @@ def test_jackknife_writes_folds_and_corpus(workdir):
     assert (workdir / "jk.fold1.model").exists()
     tagged = parse_conllu(merged.read_text())
     assert len(tagged) == 20
+
+
+@pytest.mark.parametrize("command", ["train", "jackknife"])
+def test_one_jackknife_fold_is_a_config_error(workdir, monkeypatch, command):
+    """A single fold is rejected with the settings, before any model is built."""
+    calls = []
+    for name in ("train_variant", "jackknife_tags"):
+        monkeypatch.setattr(trainer, name, lambda *a, name=name, **k: calls.append(name))
+    out = workdir / "one_fold.out"
+    first = {
+        "train": ["train", "--mode", "pipeline", "--model", str(out)],
+        "jackknife": ["jackknife", "--output", str(out)],
+    }[command]
+    rc = main(first + ["--train", str(workdir / "train.conllu"), "--jackknife-folds", "1"])
+    assert rc == 1
+    assert calls == []
+    assert not out.exists()
 
 
 def test_neighbors_prints_rows(trained_model, workdir, capsys):

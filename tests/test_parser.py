@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackprop.corpus import NULL_ID
+import stackprop.parser as parser_mod
+import stackprop.tagger as tagger_mod
+from stackprop.corpus import NULL_ID, Sentence, emit_conllu
 from stackprop.errors import StackpropError
-from stackprop.model import JOINT, PIPELINE, STACKPROP, ParserNetworkConfig, build_model
+from stackprop.model import (
+    JOINT,
+    JOINT_STACKPROP,
+    PIPELINE,
+    STACKPROP,
+    ParserNetworkConfig,
+    build_model,
+)
 from stackprop.nnkernel import forward_batch
 from stackprop.parser import (
     NULL_TOKEN,
@@ -179,7 +188,7 @@ def test_zero_weights_uniform_over_legal_actions():
         m.parser.params[k][:] = 0.0
     _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
     c = initial(I_ATE_FISH)
-    logits = score_actions(c, m, acts, m.parser.inference_params(False))
+    (logits,) = score_actions([c], [0], m, acts, m.parser.inference_params(False))
     assert np.allclose(logits, logits[0])
     mask = m.actions.legal_mask(c)
     masked = logits.copy()
@@ -193,7 +202,7 @@ def test_argmax_invariant_to_constant_shift():
     m = tiny_model(seed=3)
     _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
     c = initial(I_ATE_FISH)
-    logits = score_actions(c, m, acts, m.parser.inference_params(True))
+    (logits,) = score_actions([c], [0], m, acts, m.parser.inference_params(True))
     mask = m.actions.legal_mask(c)
     a = logits.copy()
     a[~mask] = -np.inf
@@ -287,8 +296,6 @@ def test_parser_ignores_tagger_softmax_in_stacked_mode():
 def test_tagger_runs_once_per_sentence(monkeypatch):
     """Decoding re-indexes cached activations: the tagger evaluates exactly
     one row per token for the whole greedy loop."""
-    import stackprop.tagger as tagger_mod
-
     m = tiny_model()
     rows_seen = []
     real_forward = tagger_mod.forward_batch
@@ -308,6 +315,82 @@ def test_parse_corpus_threaded_identical_output():
     m = tiny_model(corpus, seed=2)
     seq, _ = parse_corpus(corpus, m, threads=1)
     par, _ = parse_corpus(corpus, m, threads=4)
-    from stackprop.corpus import emit_conllu
-
     assert emit_conllu(seq, use_predicted=True) == emit_conllu(par, use_predicted=True)
+
+
+def _row_counter(module, rows):
+    """``module.forward_batch`` that records the rows of every call."""
+    real = module.forward_batch
+
+    def counting(net, inputs, params=None):
+        rows.append(next(iter(inputs.values())).shape[0])
+        return real(net, inputs, params)
+
+    return counting
+
+
+def test_lockstep_one_parser_forward_per_step(monkeypatch):
+    """A group's parser forwards equal its longest derivation, not the sum of
+    all derivations; each forward scores every still-live configuration."""
+    corpus = generate_corpus(12, seed=21, p_nonproj=0.3)
+    m = tiny_model(corpus, seed=2)
+    steps = []
+    for s in corpus:
+        one = ParseStats()
+        parse_sentence(s, m, stats=one)
+        assert one.parser_batches == one.parser_evals
+        steps.append(one.parser_evals)
+    parser_rows, tagger_rows = [], []
+    monkeypatch.setattr(parser_mod, "forward_batch", _row_counter(parser_mod, parser_rows))
+    monkeypatch.setattr(tagger_mod, "forward_batch", _row_counter(tagger_mod, tagger_rows))
+    _, stats = parse_corpus(corpus, m)
+    assert len(parser_rows) == stats.parser_batches == max(steps) < sum(steps)
+    assert sum(parser_rows) == stats.parser_evals == sum(steps)
+    # configurations retire once terminal: the batch only shrinks
+    assert parser_rows[0] == len(corpus)
+    assert parser_rows == sorted(parser_rows, reverse=True)
+    assert sum(tagger_rows) == stats.tagger_evals == sum(len(s) for s in corpus)
+
+
+def test_empty_sentence_in_corpus_raises_before_decoding(monkeypatch):
+    corpus = generate_corpus(5, seed=21)
+    m = tiny_model(corpus, seed=2)
+    tagger_rows = []
+    monkeypatch.setattr(tagger_mod, "forward_batch", _row_counter(tagger_mod, tagger_rows))
+    with pytest.raises(StackpropError, match="cannot parse an empty sentence"):
+        parse_corpus(corpus[:2] + [Sentence([], id="empty")] + corpus[2:], m)
+    assert tagger_rows == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**31 - 1),
+    swap=st.booleans(),
+    mode=st.sampled_from([STACKPROP, PIPELINE, JOINT, JOINT_STACKPROP]),
+    scale=st.sampled_from([0.01, 1.0, 10.0]),
+    group=st.sampled_from([1, 3, parser_mod.LOCKSTEP_SENTENCES]),
+    data=st.data(),
+)
+def test_decode_output_independent_of_batching(n, seed, swap, mode, scale, group, data):
+    """Random corpora and random parser weights: lockstep decoding gives the
+    same CoNLL-U whether sentences go one at a time, as one corpus, over
+    threads, in groups of any size, or split into two corpora."""
+    corpus = generate_corpus(n, seed=seed, p_nonproj=0.3)
+    m = build_model(mode, corpus, TCFG, PCFG, swap=swap, seed=seed)
+    rng = np.random.default_rng(seed)
+    for block in m.parser.params.values():
+        block[...] = rng.normal(scale=scale, size=block.shape)
+    k = data.draw(st.integers(0, n), label="split")
+
+    def conllu(parsed):
+        return emit_conllu(parsed, use_predicted=True)
+
+    expected = conllu([parse_sentence(s, m, averaged=False) for s in corpus])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser_mod, "LOCKSTEP_SENTENCES", group)
+        assert conllu(parse_corpus(corpus, m, averaged=False)[0]) == expected
+        assert conllu(parse_corpus(corpus, m, threads=3, averaged=False)[0]) == expected
+        head, _ = parse_corpus(corpus[:k], m, averaged=False)
+        tail, _ = parse_corpus(corpus[k:], m, averaged=False)
+        assert conllu(head + tail) == expected

@@ -174,7 +174,7 @@ def test_decode_input_matches_training_batch(sizes, seed, swap, mode):
             _, acts = tag_sentence(sent, model.tagger, model.tvocabs, model.tags, averaged=False)
             dists.append(acts.probs)
             for c, _ in unroll(sent, model.system, model.labels, model.tags).steps:
-                score_actions(c, model, acts, params)
+                score_actions([c], [0], model, acts, params)
     assert len(decoded) == data.n_parse_examples
 
     n = data.n_parse_examples
@@ -348,7 +348,7 @@ def test_pipeline_decodes_with_its_own_tagger_not_jackknife():
     def first_logits():
         _, acts = tag_sentence(dev, model.tagger, model.tvocabs, model.tags)
         params = model.parser.inference_params(True)
-        return score_actions(initial(dev), model, acts, params)
+        return score_actions([initial(dev)], [0], model, acts, params)[0]
 
     before = first_logits()
     # the decode-time distributions come from the model's tagger, not from any
