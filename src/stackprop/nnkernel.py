@@ -9,7 +9,10 @@ into whatever produced them.
 
 Training is mini-batched averaged SGD with momentum; every parameter block
 carries its own velocity, running average, and average count so that updates
-restricted to a subset of blocks leave the rest bit-identical.
+restricted to a subset of blocks leave the rest bit-identical. While a block
+trains, its average is kept as the running sum of its iterates (Polyak &
+Juditsky 1992; Bottou 2012), so a step adds the new parameters once instead
+of rewriting a mean; the mean is divided out when something reads it.
 """
 
 from __future__ import annotations
@@ -18,14 +21,24 @@ import hashlib
 import io
 import json
 import struct
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
+from functools import partial
+from types import MappingProxyType
 from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from stackprop.errors import ModelError, StackpropError
 
 DTYPE = np.float64
+
+# elements per slice of an optimizer step (whole rows): the gradient,
+# velocity, parameter and running-sum slices (1 MiB together) stay in cache
+# between the step's five in-place operations, so each block crosses the
+# memory bus once
+ASGD_TILE = 1 << 15
 
 MAGIC = b"STPM"
 FORMAT_VERSION = 1
@@ -100,6 +113,10 @@ class Network:
     Blocks are laid out by ``block_shapes``. Extra blocks are caller-managed:
     updated by the optimizer and serialized, but not used by the forward pass
     here.
+
+    ``average`` maps each block to its current average, read-only; a block
+    whose ``avg_count`` is 0 holds its initial parameters there. Arrays read
+    from it or from ``inference_params`` stay valid until the next step.
     """
 
     def __init__(
@@ -125,16 +142,69 @@ class Network:
                 self.params[name] = rng.uniform(-init_scale, init_scale, size=shape).astype(DTYPE)
         self.block_names = list(self.params)
         self.velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.average = {k: v.copy() for k, v in self.params.items()}
         self.avg_count = {k: 0 for k in self.params}
         self.step = 0
+        self._init_averages({k: v.copy() for k, v in self.params.items()})
+
+    def _init_averages(self, averages: dict[str, np.ndarray]) -> None:
+        # _avg holds the running sum of the last avg_count iterates for the
+        # blocks in _summed, and the average itself for the others; _means
+        # caches read-only averages until their block next changes
+        self._avg = averages
+        self._summed: set[str] = set()
+        self._means: dict[str, np.ndarray] = {}
+
+    @property
+    def average(self) -> Mapping[str, np.ndarray]:
+        return MappingProxyType({k: self._mean(k) for k in self.block_names})
+
+    def _mean(self, name: str, keep: bool = True) -> np.ndarray:
+        """Read-only current average of one block, cached when ``keep``."""
+        m = self._means.get(name)
+        if m is None:
+            acc = self._avg[name]
+            m = acc / self.avg_count[name] if name in self._summed else acc.view()
+            m.flags.writeable = False
+            if keep:
+                self._means[name] = m
+        return m
+
+    def _running_sum(self, name: str) -> np.ndarray:
+        """Block ``name``'s running sum, counted as holding one more iterate
+        than before; the caller adds that iterate."""
+        acc = self._avg[name]
+        if name not in self._summed:
+            acc *= self.avg_count[name]  # the sum of n iterates is n times their mean
+            self._summed.add(name)
+        self._means.pop(name, None)
+        self.avg_count[name] += 1
+        return acc
+
+    def set_average(self, name: str, value) -> None:
+        """Overwrite block ``name``'s average with ``value`` (broadcast to the
+        block's shape), counted as at least one iterate."""
+        if name not in self._avg:
+            raise StackpropError(f"no parameter block {name}")
+        np.copyto(self._avg[name], value)
+        self._summed.discard(name)
+        self._means.pop(name, None)
+        self.avg_count[name] = max(1, self.avg_count[name])
+
+    def settle_averages(self) -> None:
+        """Divide every running sum into its mean in place, so a network
+        that has finished training holds one copy of its averages and reads
+        them for free. A later step multiplies them back into sums."""
+        for name in self._summed:
+            np.divide(self._avg[name], self.avg_count[name], out=self._avg[name])
+        self._summed.clear()
+        self._means.clear()
 
     def inference_params(self, averaged: bool = True) -> dict[str, np.ndarray]:
         """Averaged parameters when averaging has begun, else the raw ones."""
         if not averaged:
             return self.params
         return {
-            k: (self.average[k] if self.avg_count[k] > 0 else self.params[k])
+            k: (self._mean(k) if self.avg_count[k] > 0 else self.params[k])
             for k in self.block_names
         }
 
@@ -251,15 +321,30 @@ def _backward_hidden(
         x = cache.inputs[g.name]
         if g.dense:
             if g.embedded:
-                grads[f"E_{g.name}"] = np.einsum("bfv,bfd->vd", x, seg)
+                grads[f"E_{g.name}"] = x.reshape(-1, g.vocab_size).T @ seg.reshape(-1, g.embed_dim)
                 dense_grads[g.name] = seg @ net.params[f"E_{g.name}"].T
             else:
                 dense_grads[g.name] = seg
         else:
-            de = np.zeros_like(net.params[f"E_{g.name}"])
-            np.add.at(de, x.ravel(), seg.reshape(-1, g.embed_dim))
-            grads[f"E_{g.name}"] = de
+            grads[f"E_{g.name}"] = scatter_rows(
+                x.ravel(), seg.reshape(-1, g.embed_dim), g.vocab_size
+            )
     return grads, dense_grads
+
+
+def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, D) sums of the (N, D) ``rows`` by their ids in [0, n): row ``i``
+    of the result adds up every ``rows[j]`` with ``ids[j] == i``.
+
+    A one-hot CSR product whose columns are ordered by ``j`` within each row,
+    so every sum starts at zero and adds its rows in input order, as
+    ``np.add.at`` does: the result is bit-identical to it.
+    """
+    order = np.argsort(ids, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
+    onehot = csr_array((np.ones(ids.size, dtype=DTYPE), order, indptr), shape=(n, ids.size))
+    return onehot @ rows
 
 
 def asgd_step(
@@ -270,26 +355,57 @@ def asgd_step(
 ) -> None:
     """One momentum step with running-average maintenance on ``scope`` blocks.
 
-    Blocks outside the scope keep their parameters, velocities, averages, and
-    counts bit-identical. The learning rate decays as eta0 / (1 + step/gamma)
-    on this network's own step counter.
+    Every scoped gradient is checked (present, float64, writable, the block's
+    shape) before anything changes, so a bad call leaves the network as it
+    was. The gradients are scaled by the learning rate in place, and each
+    block is streamed once, a cache-sized slice at a time, with no temporary
+    arrays. Blocks outside the scope keep their parameters, velocities,
+    averages, and counts bit-identical. The learning rate decays as
+    eta0 / (1 + step/gamma) on this network's own step counter.
     """
     blocks = list(scope) if scope is not None else net.block_names
-    lr = config.eta0 / (1.0 + net.step / config.gamma)
-    net.step += 1
     for name in blocks:
+        if name not in net.params:
+            raise StackpropError(f"no parameter block {name}")
         g = grads.get(name)
         if g is None:
             raise StackpropError(f"no gradient supplied for block {name}")
-        v = net.velocity[name]
-        v *= config.mu
-        v -= lr * g
-        self_p = net.params[name]
-        self_p += v
-        if net.step > config.averaging_start:
-            net.avg_count[name] += 1
-            avg = net.average[name]
-            avg += (self_p - avg) / net.avg_count[name]
+        shape = net.params[name].shape
+        if not (
+            isinstance(g, np.ndarray)
+            and g.dtype == DTYPE
+            and g.shape == shape
+            and g.flags.writeable
+        ):
+            raise StackpropError(
+                f"gradient for block {name} must be a writable float64 array of shape "
+                f"{shape}, got shape {np.shape(g)}"
+            )
+    lr = config.eta0 / (1.0 + net.step / config.gamma)
+    net.step += 1
+    averaging = net.step > config.averaging_start
+    for name in blocks:
+        p, v, g = net.params[name], net.velocity[name], grads[name]
+        acc = net._running_sum(name) if averaging else None
+        rows = max(1, ASGD_TILE * len(p) // p.size)
+        if rows >= len(p):
+            _momentum_slice(g, v, p, acc, lr, config.mu)
+        else:
+            for lo in range(0, len(p), rows):
+                s = slice(lo, lo + rows)
+                _momentum_slice(g[s], v[s], p[s], None if acc is None else acc[s], lr, config.mu)
+
+
+def _momentum_slice(g, v, p, acc, lr: float, mu: float) -> None:
+    """One step on matching slices of a block, in place: the velocity takes
+    the scaled gradient, the parameters the velocity, the running sum (when
+    averaging) the new parameters."""
+    g *= lr
+    v *= mu
+    v -= g
+    p += v
+    if acc is not None:
+        acc += p
 
 
 # serialization: versioned container holding any number of networks
@@ -302,7 +418,9 @@ def save_model(
 
     Layout: magic, format version, length-prefixed JSON header, float64
     little-endian blocks (parameters, averages, velocities per network, in
-    declared order), and a trailing SHA-256 of everything before it.
+    declared order), and a trailing SHA-256 of everything before it. The
+    averages written are the means: a block still holding a running sum is
+    divided by its count on the way out, which leaves the network as it was.
     """
     header = {
         "meta": meta,
@@ -334,9 +452,9 @@ def save_model(
     buf.write(struct.pack("<Q", len(header_bytes)))
     buf.write(header_bytes)
     for net in networks.values():
-        for store in (net.params, net.average, net.velocity):
+        for read in (net.params.get, partial(net._mean, keep=False), net.velocity.get):
             for b in net.block_names:
-                buf.write(np.ascontiguousarray(store[b], dtype="<f8").tobytes())
+                buf.write(np.ascontiguousarray(read(b), dtype="<f8").tobytes())
     payload = buf.getvalue()
     digest = hashlib.sha256(payload).digest()
     if isinstance(dest, str):
@@ -404,8 +522,8 @@ def _read_network(spec: dict, view: io.BytesIO) -> Network:
     if len(shapes) != len(net.block_names) or any(shapes.get(k) != v for k, v in expected.items()):
         raise ModelError(f"blocks of network {spec['name']!r} do not match its groups")
     net.avg_count = {b["name"]: b["avg_count"] for b in spec["blocks"]}
-    net.params, net.average, net.velocity = {}, {}, {}
-    for store in (net.params, net.average, net.velocity):
+    net.params, averages, net.velocity = {}, {}, {}
+    for store in (net.params, averages, net.velocity):
         for name in net.block_names:
             shape = shapes[name]
             count = int(np.prod(shape)) if shape else 1
@@ -413,4 +531,5 @@ def _read_network(spec: dict, view: io.BytesIO) -> Network:
             if len(data) != count * 8:
                 raise ModelError("model file truncated inside parameter blocks")
             store[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    net._init_averages(averages)
     return net

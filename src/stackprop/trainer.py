@@ -38,6 +38,7 @@ from stackprop.nnkernel import (
     backward_batch,
     backward_from_hidden,
     forward_batch,
+    scatter_rows,
     softmax_xent_batch,
 )
 from stackprop.parser import featurize, parse_corpus, parser_input
@@ -218,8 +219,7 @@ def parser_batch_update(
     if tcache is not None:
         h_tagger = model.tagger_cfg.hidden
         dx = dense_grads["implicit"].reshape(-1, h_tagger)
-        acc = np.zeros((uniq.size, h_tagger), dtype=DTYPE)
-        np.add.at(acc, inv, dx)
+        acc = scatter_rows(inv, dx, uniq.size)
         grads["null_input"] = acc[0] if has_null else np.zeros(h_tagger, dtype=DTYPE)
     asgd_step(model.parser, grads, opt)
     if tcache is not None:
@@ -262,8 +262,7 @@ def _snapshot_inference(model: StackedModel) -> dict:
 def _restore_inference(model: StackedModel, snap: dict) -> None:
     for name, net in (("tagger", model.tagger), ("parser", model.parser)):
         for k, v in snap[name].items():
-            net.average[k] = v.copy()
-            net.avg_count[k] = max(1, net.avg_count[k])
+            net.set_average(k, v)
 
 
 def _dev_scores(model: StackedModel, dev: list[Sentence]) -> tuple[float, float]:
@@ -361,6 +360,8 @@ def run_interleaved(
                 emit(line)
     if best_snap is not None:
         _restore_inference(model, best_snap)
+    model.tagger.settle_averages()
+    model.parser.settle_averages()
     return model
 
 
@@ -378,6 +379,7 @@ def train_tagger_only(
         b = min(opt.batch_size, budget)
         tagger_batch_update(model, data, stream.take(b), opt, lam)
         budget -= b
+    model.tagger.settle_averages()
 
 
 def stackprop_train(

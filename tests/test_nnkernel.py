@@ -1,8 +1,10 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackprop.errors import ModelError, StackpropError
 from stackprop.nnkernel import (
@@ -15,6 +17,7 @@ from stackprop.nnkernel import (
     forward_batch,
     load_model,
     save_model,
+    scatter_rows,
     softmax_xent_batch,
 )
 
@@ -267,8 +270,9 @@ def test_asgd_two_steps_hand_unrolled():
     w0 = net.params["W1"].copy()
     g1 = np.full_like(w0, 0.5)
     g2 = np.full_like(w0, -1.0)
-    asgd_step(net, {**zero_grads(net), "W1": g1}, cfg, scope=["W1"])
-    asgd_step(net, {**zero_grads(net), "W1": g2}, cfg, scope=["W1"])
+    # asgd_step scales the gradients it is handed in place
+    asgd_step(net, {**zero_grads(net), "W1": g1.copy()}, cfg, scope=["W1"])
+    asgd_step(net, {**zero_grads(net), "W1": g2.copy()}, cfg, scope=["W1"])
     lr1 = 0.2 / (1 + 0 / 4.0)
     lr2 = 0.2 / (1 + 1 / 4.0)
     v1 = -lr1 * g1
@@ -297,11 +301,193 @@ def test_asgd_scope_isolation_bit_level():
         assert net.avg_count[k] == c
 
 
+def optimizer_state(net):
+    return net.step, {
+        k: (net.params[k].copy(), net.velocity[k].copy(), net.average[k].copy(), net.avg_count[k])
+        for k in net.block_names
+    }
+
+
+def assert_same_state(net, state):
+    step, blocks = state
+    assert net.step == step
+    for k, (p, v, a, c) in blocks.items():
+        assert np.array_equal(net.params[k], p), k
+        assert np.array_equal(net.velocity[k], v), k
+        assert np.array_equal(net.average[k], a), k
+        assert net.avg_count[k] == c, k
+
+
 def test_asgd_missing_scope_gradient_errors():
     net = small_net(seed=12)
     cfg = OptimizerConfig()
+    before = optimizer_state(net)
     with pytest.raises(StackpropError, match="W2"):
-        asgd_step(net, {"W1": np.zeros_like(net.params["W1"])}, cfg, scope=["W1", "W2"])
+        asgd_step(net, {"W1": np.ones_like(net.params["W1"])}, cfg, scope=["W1", "W2"])
+    assert_same_state(net, before)
+
+
+def test_asgd_wrong_shape_gradient_errors_and_changes_nothing():
+    net = small_net(seed=17)
+    grads = {k: np.ones_like(v) for k, v in net.params.items()}
+    # broadcastable into W1, but a row-constant update is not a W1 gradient
+    grads["W1"] = np.ones(net.n_hidden)
+    before = optimizer_state(net)
+    with pytest.raises(StackpropError, match="W1"):
+        asgd_step(net, grads, OptimizerConfig())
+    assert_same_state(net, before)
+    grads["W1"] = np.ones(net.params["W1"].shape, dtype=np.float32)
+    with pytest.raises(StackpropError, match="W1"):
+        asgd_step(net, grads, OptimizerConfig())
+    assert_same_state(net, before)
+
+
+def test_asgd_step_allocates_no_block_sized_temporaries():
+    groups = [FeatureGroupSpec("ids", 4, 40, 16), FeatureGroupSpec("vecs", 4, 32, 16, dense=True)]
+    net = small_net(seed=18, groups=groups, n_hidden=512)
+    rng = np.random.default_rng(3)
+    cfg = OptimizerConfig(eta0=0.1, gamma=100.0, mu=0.9, averaging_start=0)
+
+    def grads():
+        return {k: rng.normal(size=v.shape) for k, v in net.params.items()}
+
+    # warm-up: the first averaged step turns the stored averages into sums
+    asgd_step(net, grads(), cfg)
+    g = grads()
+    tracemalloc.start()
+    try:
+        asgd_step(net, g, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    largest = max(v.nbytes for v in net.params.values())
+    assert largest == 128 * 512 * 8
+    assert peak < 0.01 * largest, peak
+
+
+SCOPES = (None, ("W1", "b1"), ("E_ids", "W2", "b2"), ("E_vecs",))
+READS = ("inference", "average", "save")
+
+
+def _dump(net):
+    buf = io.BytesIO()
+    save_model(buf, {"net": net}, {})
+    return buf.getvalue()
+
+
+def _run_plan(plan, cfg, seed, reads):
+    """Scoped steps with random gradients; after each step, optionally one
+    read of the averages. Also returns a float64 reference: the incremental
+    mean of each block's iterates and its count."""
+    net = small_net(seed=19)
+    rng = np.random.default_rng(seed)
+    ref = {k: v.copy() for k, v in net.params.items()}
+    ref_n = {k: 0 for k in net.block_names}
+    scale = max(np.abs(v).max() for v in net.params.values())
+    for scope, read in plan:
+        grads = {k: rng.normal(size=v.shape) for k, v in net.params.items()}
+        asgd_step(net, grads, cfg, scope=scope)
+        for k in scope or net.block_names:
+            scale = max(scale, np.abs(net.params[k]).max())
+            if net.step > cfg.averaging_start:
+                ref_n[k] += 1
+                ref[k] += (net.params[k] - ref[k]) / ref_n[k]
+        if reads and read == "inference":
+            net.inference_params(True)
+        elif reads and read == "average":
+            net.average["W1"].sum()
+        elif reads and read == "save":
+            _dump(net)
+    return net, ref, ref_n, scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    plan=st.lists(st.tuples(st.sampled_from(SCOPES), st.sampled_from(READS)), min_size=1, max_size=12),
+    averaging_start=st.integers(0, 5),
+    mu=st.floats(0.0, 0.95),
+    seed=st.integers(0, 2**16),
+)
+def test_averages_are_running_means_and_reads_change_nothing(plan, averaging_start, mu, seed):
+    cfg = OptimizerConfig(eta0=0.1, gamma=10.0, mu=mu, batch_size=1, averaging_start=averaging_start)
+    net, ref, ref_n, scale = _run_plan(plan, cfg, seed, reads=True)
+    for k in net.block_names:
+        assert net.avg_count[k] == ref_n[k], k
+        # the sum and the incremental mean round differently: compare to
+        # 1e-12 of the largest iterate, not of each (possibly cancelled) mean
+        np.testing.assert_allclose(net.average[k], ref[k], rtol=1e-12, atol=1e-12 * scale)
+        expected = net.average[k] if ref_n[k] else net.params[k]
+        assert np.array_equal(net.inference_params(True)[k], expected), k
+    quiet, *_ = _run_plan(plan, cfg, seed, reads=False)
+    assert net.step == quiet.step
+    for k in net.block_names:
+        assert np.array_equal(net.params[k], quiet.params[k]), k
+        assert np.array_equal(net.velocity[k], quiet.velocity[k]), k
+    assert _dump(net) == _dump(quiet)
+
+
+def test_settle_averages_keeps_values_and_training_resumes():
+    net = small_net(seed=20)
+    cfg = OptimizerConfig(eta0=0.1, gamma=10.0, mu=0.9, batch_size=1)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        asgd_step(net, {k: rng.normal(size=v.shape) for k, v in net.params.items()}, cfg)
+    before = _dump(net)
+    means = {k: net.average[k].copy() for k in net.block_names}
+    net.settle_averages()
+    assert _dump(net) == before
+    last = {k: v.copy() for k, v in net.params.items()}
+    asgd_step(net, {k: rng.normal(size=v.shape) for k, v in net.params.items()}, cfg)
+    for k in net.block_names:
+        assert np.allclose(net.average[k], (5 * means[k] + net.params[k]) / 6, rtol=1e-12)
+        assert not np.array_equal(net.params[k], last[k])
+
+
+def test_average_is_read_only_and_set_average_writes_it():
+    net = small_net(seed=21)
+    with pytest.raises(ValueError):
+        net.average["W1"][:] = 1.0
+    assert net.avg_count["b1"] == 0
+    net.set_average("b1", 0.5)
+    assert np.array_equal(net.average["b1"], np.full(net.n_hidden, 0.5))
+    assert net.avg_count["b1"] == 1
+    assert np.array_equal(net.inference_params(True)["b1"], net.average["b1"])
+    with pytest.raises(StackpropError):
+        net.set_average("nope", 0.0)
+
+
+@pytest.mark.parametrize(
+    "ids, n",
+    [
+        ([3, 1, 3, 0, 3, 1], 5),  # duplicates, interleaved
+        ([0, 0, 2, 0], 3),  # the null row, repeated
+        ([2], 4),  # a single id
+        (list(np.random.default_rng(5).integers(0, 50, size=400)), 60),
+    ],
+)
+def test_scatter_rows_is_bit_identical_to_add_at(ids, n):
+    ids = np.array(ids, dtype=np.int64)
+    rows = np.random.default_rng(len(ids)).normal(size=(len(ids), 7))
+    expected = np.zeros((n, 7))
+    np.add.at(expected, ids, rows)
+    got = scatter_rows(ids, rows, n)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_dense_embedding_gradient_matches_einsum():
+    net = small_net(seed=22)
+    rng = np.random.default_rng(6)
+    inputs = {
+        "ids": rng.integers(0, 5, size=(9, 2)),
+        "vecs": rng.normal(size=(9, 2, 4)),
+    }
+    cache = forward_batch(net, inputs)
+    dlogits = rng.normal(size=cache.logits.shape)
+    grads, _ = backward_batch(net, cache, dlogits)
+    dz1 = (dlogits @ net.params["W2"].T) * (cache.z1 > 0)
+    seg = (dz1 @ net.params["W1"].T)[:, 6:].reshape(9, 2, 3)
+    assert np.allclose(grads["E_vecs"], np.einsum("bfv,bfd->vd", inputs["vecs"], seg))
 
 
 def test_averaging_start_skips_early_steps():

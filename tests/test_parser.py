@@ -287,7 +287,7 @@ def test_parser_ignores_tagger_softmax_in_stacked_mode():
     before = parse_sentence(I_ATE_FISH, m)
     m.tagger.params["W2"][:] = np.random.default_rng(0).normal(size=m.tagger.params["W2"].shape)
     m.tagger.params["b2"][:] = 3.3
-    m.tagger.average["W2"][:] = 9.9
+    m.tagger.set_average("W2", 9.9)
     after = parse_sentence(I_ATE_FISH, m)
     assert [t.pred_head for t in before.tokens] == [t.pred_head for t in after.tokens]
     assert [t.pred_deprel for t in before.tokens] == [t.pred_deprel for t in after.tokens]

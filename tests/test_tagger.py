@@ -150,7 +150,7 @@ def test_tag_sentence_shapes_and_ties():
     assert acts.hidden.shape == (3, 8)
     for k in ("W2", "b2"):
         net.params[k][:] = 0.0
-        net.average[k][:] = 0.0
+        net.set_average(k, 0.0)
     pred, _ = tag_sentence(I_ATE_FISH, net, tv, tags)
     # uniform scores tie-break to the lowest tag id
     assert all(p == tags.class_string(0) for p in pred)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ def test_pipeline_decodes_with_its_own_tagger_not_jackknife():
     # the decode-time distributions come from the model's tagger, not from any
     # cached jackknife output: corrupting the tagger must move the scores
     rng = np.random.default_rng(0)
-    model.tagger.average["W1"][:] = rng.normal(size=model.tagger.average["W1"].shape)
+    model.tagger.set_average("W1", rng.normal(size=model.tagger.params["W1"].shape))
     model.tagger.params["W1"][:] = model.tagger.average["W1"]
     assert not np.allclose(before, first_logits())
 
@@ -377,6 +378,24 @@ def test_joint_stackprop_uses_tag_supervision():
     # without stackprop no tagger batches run, so tag_loss stays 0
     assert all("tag_loss=0.0000" in l for l in lines_a if "tag_loss" in l)
     assert any("tag_loss=0.0000" not in l for l in lines_b if "tag_loss" in l)
+
+
+def test_trained_network_reads_its_averages_without_computing_them():
+    """Training ends by dividing each running sum into its mean in place, so
+    a trained network holds one copy of its averages and decoding reads them
+    as stored, allocating nothing block-sized."""
+    model = stackprop_train(CORPUS, None, tiny_settings(seed=8, parser_epochs=1, tagger_epochs=1))
+    net = model.parser
+    tracemalloc.start()
+    try:
+        params = net.inference_params(True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < net.params["W1"].nbytes // 4, peak
+    for k in net.block_names:
+        assert net.avg_count[k] > 0
+        assert np.array_equal(params[k], net.average[k]), k
 
 
 def test_early_stopping_restores_best_snapshot():
