@@ -23,7 +23,6 @@ import json
 import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 from types import MappingProxyType
 from typing import BinaryIO, Optional, Sequence, Union
 
@@ -33,12 +32,6 @@ from scipy.sparse import csr_array
 from stackprop.errors import ModelError, StackpropError
 
 DTYPE = np.float64
-
-# elements per slice of an optimizer step (whole rows): the gradient,
-# velocity, parameter and running-sum slices (1 MiB together) stay in cache
-# between the step's five in-place operations, so each block crosses the
-# memory bus once
-ASGD_TILE = 1 << 15
 
 MAGIC = b"STPM"
 FORMAT_VERSION = 1
@@ -117,6 +110,8 @@ class Network:
     ``average`` maps each block to its current average, read-only; a block
     whose ``avg_count`` is 0 holds its initial parameters there. Arrays read
     from it or from ``inference_params`` stay valid until the next step.
+    While a block trains, each read divides its running sum afresh;
+    ``settle_averages`` makes reads free until the next step.
     """
 
     def __init__(
@@ -148,25 +143,19 @@ class Network:
 
     def _init_averages(self, averages: dict[str, np.ndarray]) -> None:
         # _avg holds the running sum of the last avg_count iterates for the
-        # blocks in _summed, and the average itself for the others; _means
-        # caches read-only averages until their block next changes
+        # blocks in _summed, and the average itself for the others
         self._avg = averages
         self._summed: set[str] = set()
-        self._means: dict[str, np.ndarray] = {}
 
     @property
     def average(self) -> Mapping[str, np.ndarray]:
         return MappingProxyType({k: self._mean(k) for k in self.block_names})
 
-    def _mean(self, name: str, keep: bool = True) -> np.ndarray:
-        """Read-only current average of one block, cached when ``keep``."""
-        m = self._means.get(name)
-        if m is None:
-            acc = self._avg[name]
-            m = acc / self.avg_count[name] if name in self._summed else acc.view()
-            m.flags.writeable = False
-            if keep:
-                self._means[name] = m
+    def _mean(self, name: str) -> np.ndarray:
+        """Read-only current average of one block."""
+        acc = self._avg[name]
+        m = acc / self.avg_count[name] if name in self._summed else acc.view()
+        m.flags.writeable = False
         return m
 
     def _running_sum(self, name: str) -> np.ndarray:
@@ -176,7 +165,6 @@ class Network:
         if name not in self._summed:
             acc *= self.avg_count[name]  # the sum of n iterates is n times their mean
             self._summed.add(name)
-        self._means.pop(name, None)
         self.avg_count[name] += 1
         return acc
 
@@ -187,17 +175,16 @@ class Network:
             raise StackpropError(f"no parameter block {name}")
         np.copyto(self._avg[name], value)
         self._summed.discard(name)
-        self._means.pop(name, None)
         self.avg_count[name] = max(1, self.avg_count[name])
 
     def settle_averages(self) -> None:
         """Divide every running sum into its mean in place, so a network
-        that has finished training holds one copy of its averages and reads
-        them for free. A later step multiplies them back into sums."""
+        that has finished training, or is being evaluated, holds one copy of
+        its averages and reads them for free. A later step multiplies them
+        back into sums."""
         for name in self._summed:
             np.divide(self._avg[name], self.avg_count[name], out=self._avg[name])
         self._summed.clear()
-        self._means.clear()
 
     def inference_params(self, averaged: bool = True) -> dict[str, np.ndarray]:
         """Averaged parameters when averaging has begun, else the raw ones."""
@@ -357,11 +344,11 @@ def asgd_step(
 
     Every scoped gradient is checked (present, float64, writable, the block's
     shape) before anything changes, so a bad call leaves the network as it
-    was. The gradients are scaled by the learning rate in place, and each
-    block is streamed once, a cache-sized slice at a time, with no temporary
-    arrays. Blocks outside the scope keep their parameters, velocities,
-    averages, and counts bit-identical. The learning rate decays as
-    eta0 / (1 + step/gamma) on this network's own step counter.
+    was. The gradients are scaled by the learning rate in place, and every
+    block is updated in place with no temporary arrays. Blocks outside the
+    scope keep their parameters, velocities, averages, and counts
+    bit-identical. The learning rate decays as eta0 / (1 + step/gamma) on
+    this network's own step counter.
     """
     blocks = list(scope) if scope is not None else net.block_names
     for name in blocks:
@@ -386,26 +373,13 @@ def asgd_step(
     averaging = net.step > config.averaging_start
     for name in blocks:
         p, v, g = net.params[name], net.velocity[name], grads[name]
-        acc = net._running_sum(name) if averaging else None
-        rows = max(1, ASGD_TILE * len(p) // p.size)
-        if rows >= len(p):
-            _momentum_slice(g, v, p, acc, lr, config.mu)
-        else:
-            for lo in range(0, len(p), rows):
-                s = slice(lo, lo + rows)
-                _momentum_slice(g[s], v[s], p[s], None if acc is None else acc[s], lr, config.mu)
-
-
-def _momentum_slice(g, v, p, acc, lr: float, mu: float) -> None:
-    """One step on matching slices of a block, in place: the velocity takes
-    the scaled gradient, the parameters the velocity, the running sum (when
-    averaging) the new parameters."""
-    g *= lr
-    v *= mu
-    v -= g
-    p += v
-    if acc is not None:
-        acc += p
+        g *= lr
+        v *= config.mu
+        v -= g
+        p += v
+        if averaging:
+            acc = net._running_sum(name)
+            acc += p
 
 
 # serialization: versioned container holding any number of networks
@@ -452,7 +426,7 @@ def save_model(
     buf.write(struct.pack("<Q", len(header_bytes)))
     buf.write(header_bytes)
     for net in networks.values():
-        for read in (net.params.get, partial(net._mean, keep=False), net.velocity.get):
+        for read in (net.params.get, net._mean, net.velocity.get):
             for b in net.block_names:
                 buf.write(np.ascontiguousarray(read(b), dtype="<f8").tobytes())
     payload = buf.getvalue()

@@ -266,6 +266,9 @@ def _restore_inference(model: StackedModel, snap: dict) -> None:
 
 
 def _dev_scores(model: StackedModel, dev: list[Sentence]) -> tuple[float, float]:
+    # the averages are read once per sentence; settled, they are read in place
+    model.tagger.settle_averages()
+    model.parser.settle_averages()
     parsed, _ = parse_corpus(dev, model, threads=1, averaged=True)
     report = attachment_scores(dev, parsed, include_punct=True)
     return report.uas, report.las

@@ -398,6 +398,30 @@ def test_trained_network_reads_its_averages_without_computing_them():
         assert np.array_equal(params[k], net.average[k]), k
 
 
+def test_dev_evaluation_reads_the_averages_in_place(monkeypatch):
+    """A dev evaluation first divides the running sums into their means in
+    place, so decoding the dev set holds no second copy of the averages
+    beside the sums."""
+    peaks = []
+    real_parse_corpus = trainer_mod.parse_corpus
+
+    def measured(sentences, model, **kw):
+        tracemalloc.start()
+        try:
+            for net in (model.tagger, model.parser):
+                net.inference_params(True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return real_parse_corpus(sentences, model, **kw)
+
+    monkeypatch.setattr(trainer_mod, "parse_corpus", measured)
+    s = tiny_settings(seed=8, parser_epochs=2, tagger_epochs=2)
+    model = stackprop_train(CORPUS, generate_corpus(6, seed=34), s)
+    assert len(peaks) >= 2
+    assert max(peaks) < model.parser.params["W1"].nbytes // 4, peaks
+
+
 def test_early_stopping_restores_best_snapshot():
     dev = generate_corpus(8, seed=34)
     s = tiny_settings(seed=7, parser_epochs=6, tagger_epochs=3)
