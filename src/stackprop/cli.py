@@ -257,14 +257,15 @@ def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
                 for t in s.tokens:
                     total_forms += 1
                     oov += t.form.lower() not in m.forms
+            hidden: list[np.ndarray] = []  # the tagger rows each sentence was annotated from
             if tag_only:
-                out = []
+                parsed = []
                 for s in chunk:
                     pred, acts = tag_sentence(s, m.tagger, m.tvocabs, m.tags)
                     stats.sentences += 1
                     stats.tokens += len(s)
                     stats.tagger_evals += len(s)
-                    out.append(
+                    parsed.append(
                         Sentence(
                             [
                                 replace(t, pred_upos=pred[t.index - 1],
@@ -274,18 +275,15 @@ def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
                             id=s.id,
                         )
                     )
-                    if acts_out:
-                        _dump_activations(acts_out, s, acts.hidden)
-                parsed = out
+                    hidden.append(acts.hidden)
             else:
                 parsed, chunk_stats = parser_mod.parse_corpus(
-                    chunk, m, threads=args.threads
+                    chunk, m, threads=args.threads, activations=hidden
                 )
                 stats.add(chunk_stats)
-                if acts_out:
-                    for s in chunk:
-                        _, acts = tag_sentence(s, m.tagger, m.tvocabs, m.tags)
-                        _dump_activations(acts_out, s, acts.hidden)
+            if acts_out:
+                for s, h in zip(chunk, hidden):
+                    _dump_activations(acts_out, s, h)
             fout.write(corpus_mod.emit_conllu(parsed, use_predicted=True))
             fout.flush()
     finally:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
+
+import numpy as np
 
 from stackprop.errors import CorpusError
 
@@ -239,60 +242,75 @@ def emit_conllu(sentences: list[Sentence], use_predicted: bool = False) -> str:
     return "\n".join(out) + "\n" if out else ""
 
 
-def is_projective(sentence: Sentence) -> bool:
-    """True iff every subtree covers a contiguous interval of the sentence.
+def projective_order(sentence: Sentence) -> dict[int, int]:
+    """Rank of each token in the in-order traversal of the gold tree.
 
-    Equivalent, for valid trees, to "no two arcs cross when drawn above the
-    sentence", with the root arc included.
+    Children are visited in surface order with the head taking its own
+    surface slot between its left and right children. For projective trees
+    the ranks equal the surface order.
     """
     heads = sentence.gold_heads()
-    n = len(heads)
-    desc: list[set[int]] = [set() for _ in range(n + 1)]
-    for d in range(1, n + 1):
-        node = d
-        while node != 0:
-            desc[node].add(d)
-            node = heads[node - 1]
-    for h in range(1, n + 1):
-        s = desc[h]
-        if max(s) - min(s) + 1 != len(s):
-            return False
-    return True
+    children: list[list[int]] = [[] for _ in range(len(heads) + 1)]
+    for d, h in enumerate(heads, start=1):
+        children[h].append(d)
+    order: dict[int, int] = {}
+    work = [0]  # nodes to visit, the root first; -t ranks token t
+    while work:
+        node = work.pop()
+        kids = children[node] if node >= 0 else None
+        if node and not kids:  # a leaf, or -t once t's left subtrees are ranked
+            order[abs(node)] = len(order) + 1
+            continue
+        split = bisect_left(kids, node)
+        work += reversed(kids[split:])
+        if node:
+            work.append(-node)
+        work += reversed(kids[:split])
+    return order
 
 
-def arcs_cross(h1: int, d1: int, h2: int, d2: int) -> bool:
-    """Strict interval-crossing test for two arcs given as (head, dependent)."""
-    a, b = min(h1, d1), max(h1, d1)
-    c, d = min(h2, d2), max(h2, d2)
-    return (a < c < b < d) or (c < a < d < b)
+def is_projective(sentence: Sentence) -> bool:
+    """True iff every subtree covers a contiguous interval of the sentence,
+    i.e. the in-order traversal ranks each token at its own position; for
+    valid trees, iff no two arcs cross (the root arc included)."""
+    return all(t == rank for t, rank in projective_order(sentence).items())
+
+
+def _crossed_arcs(heads: np.ndarray) -> np.ndarray:
+    """Which arcs ``(heads[d], d)``, d = 1..n (``heads[0]`` is the root's),
+    another arc crosses. An arc over positions a < b is crossed iff a
+    position strictly inside it has an arc that ends outside [a, b]."""
+    deps = np.arange(1, len(heads))
+    h = heads[1:]
+    near, far = heads.copy(), heads.copy()  # each position's nearest/farthest arc end
+    np.minimum.at(near, h, deps)
+    np.maximum.at(far, h, deps)
+    a, b = np.minimum(h, deps), np.maximum(h, deps)
+    inner = b - a > 1
+    ranges = np.column_stack([a[inner] + 1, b[inner]]).ravel()  # [a + 1, b) per arc
+    crossed = np.zeros(len(deps), dtype=bool)
+    crossed[inner] = (np.minimum.reduceat(near, ranges)[::2] < a[inner]) | (
+        np.maximum.reduceat(far, ranges)[::2] > b[inner]
+    )
+    return crossed
 
 
 def projectivize(sentence: Sentence) -> Sentence:
     """Lift non-projective arcs until the tree is projective.
 
-    Repeatedly takes the crossing arc with the shortest span and re-attaches
-    its dependent to the grandparent. Arcs from the artificial root are never
-    lifted (the other arc of the pair is). Identity on projective input;
-    forms, tags, and labels are untouched.
+    Repeatedly takes the crossed arc with the shortest span (the lower
+    dependent on a tie) and re-attaches its dependent to the grandparent.
+    Arcs from the artificial root are never lifted (the other arc of the
+    pair is). Identity on projective input; forms, tags, and labels are
+    untouched.
     """
-    heads = sentence.gold_heads()
-    n = len(heads)
-    while True:
-        crossing = set()
-        arcs = [(heads[d - 1], d) for d in range(1, n + 1)]
-        for i in range(len(arcs)):
-            for j in range(i + 1, len(arcs)):
-                if arcs_cross(*arcs[i], *arcs[j]):
-                    crossing.add(arcs[i])
-                    crossing.add(arcs[j])
-        liftable = [(h, d) for (h, d) in crossing if h != 0]
-        if not liftable:
-            break
-        h, d = min(liftable, key=lambda arc: (abs(arc[0] - arc[1]), arc[1]))
-        heads[d - 1] = heads[h - 1]
-    if heads == sentence.gold_heads():
+    heads = np.array([0] + sentence.gold_heads())
+    while liftable := list(np.flatnonzero(_crossed_arcs(heads) & (heads[1:] != 0)) + 1):
+        d = min(liftable, key=lambda d: (abs(heads[d] - d), d))
+        heads[d] = heads[heads[d]]
+    if heads[1:].tolist() == sentence.gold_heads():
         return sentence
-    tokens = [replace(t, gold_head=heads[t.index - 1]) for t in sentence.tokens]
+    tokens = [replace(t, gold_head=int(heads[t.index])) for t in sentence.tokens]
     return Sentence(tokens, id=sentence.id)
 
 

@@ -19,7 +19,7 @@ from stackprop.nnkernel import (
     save_model as _save_container,
 )
 from stackprop.tagger import AFFIXES, TaggerConfig, TaggerVocabs, build_tagger_vocabs, tagger_groups
-from stackprop.transition import ActionSpace, TransitionSystem
+from stackprop.transition import N_LABEL_TEMPLATES, N_TOKEN_TEMPLATES, ActionSpace, TransitionSystem
 
 # training variants
 STACKPROP = "stackprop"
@@ -49,10 +49,6 @@ VARIANTS = {
     WINDOW: Variant(stacked=True, joint=False, tag_supervision=False),
 }
 MODES = tuple(VARIANTS)
-
-N_TOKEN_TEMPLATES = 20
-N_LABEL_TEMPLATES = 12
-
 
 @dataclass
 class ParserNetworkConfig:

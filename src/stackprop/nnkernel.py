@@ -18,10 +18,11 @@ of rewriting a mean; the mean is divided out when something reads it.
 from __future__ import annotations
 
 import hashlib
-import io
+import itertools
 import json
 import struct
 from collections.abc import Mapping
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
 from typing import BinaryIO, Optional, Sequence, Union
@@ -35,6 +36,7 @@ DTYPE = np.float64
 
 MAGIC = b"STPM"
 FORMAT_VERSION = 1
+SAVE_CHUNK_BYTES = 1 << 20  # most bytes of a block written at once (bounds a saved mean's copy)
 
 
 @dataclass(frozen=True)
@@ -420,24 +422,28 @@ def save_model(
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     )
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
-    buf.write(struct.pack("<Q", len(header_bytes)))
-    buf.write(header_bytes)
-    for net in networks.values():
-        for read in (net.params.get, net._mean, net.velocity.get):
-            for b in net.block_names:
-                buf.write(np.ascontiguousarray(read(b), dtype="<f8").tobytes())
-    payload = buf.getvalue()
-    digest = hashlib.sha256(payload).digest()
-    if isinstance(dest, str):
-        with open(dest, "wb") as f:
-            f.write(payload)
-            f.write(digest)
-    else:
-        dest.write(payload)
-        dest.write(digest)
+    head = (MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)), header_bytes)
+    digest = hashlib.sha256()
+    with open(dest, "wb") if isinstance(dest, str) else nullcontext(dest) as out:
+        for part in itertools.chain(head, *map(_container_blocks, networks.values())):
+            digest.update(part)
+            out.write(part)
+        out.write(digest.digest())
+
+
+def _container_blocks(net: Network):
+    """The bytes of a network's parameters, averages and velocities in
+    container order, a few rows at a time and with no block-sized copy: an
+    average still held as a running sum is divided into its mean per slice."""
+    for store in (net.params, net._avg, net.velocity):
+        for b in net.block_names:
+            rows = np.atleast_2d(store[b])
+            step = max(1, SAVE_CHUNK_BYTES // max(1, rows[:1].nbytes))
+            for i in range(0, len(rows), step):
+                part = rows[i : i + step]
+                if store is net._avg and b in net._summed:
+                    part = part / net.avg_count[b]
+                yield memoryview(np.ascontiguousarray(part, dtype="<f8")).cast("B")
 
 
 def load_model(src: Union[str, BinaryIO]) -> tuple[dict[str, Network], dict]:
@@ -448,28 +454,30 @@ def load_model(src: Union[str, BinaryIO]) -> tuple[dict[str, Network], dict]:
         raw = src.read()
     if len(raw) < len(MAGIC) + 4 + 8 + 32:
         raise ModelError("model file truncated")
-    payload, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(payload).digest() != digest:
+    payload = memoryview(raw)[:-32]
+    if hashlib.sha256(payload).digest() != raw[-32:]:
         raise ModelError("model file checksum mismatch")
-    view = io.BytesIO(payload)
-    if view.read(len(MAGIC)) != MAGIC:
+    if payload[: len(MAGIC)] != MAGIC:
         raise ModelError("not a model file (bad magic bytes)")
-    (version,) = struct.unpack("<I", view.read(4))
+    version, header_len = struct.unpack_from("<IQ", payload, len(MAGIC))
     if version != FORMAT_VERSION:
         raise ModelError(f"unsupported model format version {version}")
-    (header_len,) = struct.unpack("<Q", view.read(8))
+    pos = len(MAGIC) + 12
     try:
-        header = json.loads(view.read(header_len).decode("utf-8"))
+        header = json.loads(str(payload[pos : pos + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelError(f"corrupt model header: {e}")
+    pos += header_len
     try:
-        networks = {spec["name"]: _read_network(spec, view) for spec in header["networks"]}
+        networks = {}
+        for spec in header["networks"]:
+            networks[spec["name"]], pos = _read_network(spec, payload, pos)
         meta = header["meta"]
     except ModelError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, StackpropError) as e:
         raise ModelError(f"malformed model header: {e!r}") from None
-    if view.read(1):
+    if pos != len(payload):
         raise ModelError("trailing bytes after the parameter blocks")
     return networks, meta
 
@@ -482,8 +490,10 @@ def from_header(cls, entry: dict):
     return cls(**entry)
 
 
-def _read_network(spec: dict, view: io.BytesIO) -> Network:
-    """One network from its header entry and its blocks' bytes."""
+def _read_network(spec: dict, payload: memoryview, pos: int) -> tuple[Network, int]:
+    """One network from its header entry and its blocks' bytes, which start
+    at ``payload[pos]``; also returns the position after them. Each block is
+    copied once, straight out of the payload."""
     groups = [from_header(FeatureGroupSpec, d) for d in spec["groups"]]
     net = Network.__new__(Network)
     net.groups = groups
@@ -501,9 +511,10 @@ def _read_network(spec: dict, view: io.BytesIO) -> Network:
         for name in net.block_names:
             shape = shapes[name]
             count = int(np.prod(shape)) if shape else 1
-            data = view.read(count * 8)
-            if len(data) != count * 8:
+            if pos + count * 8 > len(payload):
                 raise ModelError("model file truncated inside parameter blocks")
-            store[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            block = np.frombuffer(payload, dtype="<f8", count=count, offset=pos)
+            store[name] = block.reshape(shape).copy()
+            pos += count * 8
     net._init_averages(averages)
-    return net
+    return net, pos

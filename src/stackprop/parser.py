@@ -1,11 +1,11 @@
 """Greedy transition parser over the tagger's hidden activations.
 
-Feature templates index tokens in the configuration; the selected tokens'
-tagger activations form the parser's dense input group (discrete label ids of
-already-built arcs form the other). Decoding computes tagger activations once
-per sentence and re-indexes the cached rows at every step. Sentences are
-decoded in lockstep groups: each step scores every live configuration of the
-group with one parser forward.
+Feature templates (``transition.featurize``) index tokens in the
+configuration; the selected tokens' tagger activations form the parser's
+dense input group (discrete label ids of already-built arcs form the other).
+Decoding computes tagger activations once per sentence and re-indexes the
+cached rows at every step. Sentences are decoded in lockstep groups: each
+step scores every live configuration of the group with one parser forward.
 """
 
 from __future__ import annotations
@@ -19,84 +19,15 @@ import numpy as np
 
 from stackprop.corpus import NULL_ID, Sentence
 from stackprop.errors import StackpropError
-from stackprop.model import N_LABEL_TEMPLATES, N_TOKEN_TEMPLATES, StackedModel
+from stackprop.model import StackedModel
 from stackprop.nnkernel import DTYPE, forward_batch
 from stackprop.tagger import TaggerActivations, tag_sentence
-from stackprop.transition import (
-    ParserConfiguration,
-    apply,
-    initial,
-    is_terminal,
-)
+from stackprop.transition import NULL_TOKEN, ParserConfiguration, apply, featurize, initial
+from stackprop.transition import feature_tokens, is_terminal, label_features  # noqa: F401
 
-NULL_TOKEN = -1  # template slot with no token (or the root sentinel)
 # sentences decoded in lockstep: their configurations share each parser
 # forward, and the group bounds the concatenated tagger activations
 LOCKSTEP_SENTENCES = 64
-
-
-def _side_children(c: ParserConfiguration, token: int) -> tuple[list[int], list[int]]:
-    if token <= 0:
-        return [], []
-    left = sorted(d for (h, _, d) in c.arcs if h == token and d < token)
-    right = sorted(d for (h, _, d) in c.arcs if h == token and d > token)
-    return left, right
-
-
-def feature_tokens(c: ParserConfiguration) -> np.ndarray:
-    """The 20 template token indices for a configuration (-1 for NULL).
-
-    Layout: four top stack slots, four buffer slots, then for each of the two
-    top stack tokens the leftmost/rightmost and second-leftmost/-rightmost
-    children, then leftmost-of-leftmost and rightmost-of-rightmost.
-    """
-    out = np.full(N_TOKEN_TEMPLATES, NULL_TOKEN, dtype=np.int64)
-
-    def put(i: int, token: Optional[int]) -> None:
-        if token is not None and token > 0:
-            out[i] = token
-
-    stack, buf = c.stack, c.buffer
-    for i in range(4):
-        put(i, stack[-1 - i] if len(stack) > i else None)
-        put(4 + i, buf[i] if len(buf) > i else None)
-    for si in range(2):
-        token = stack[-1 - si] if len(stack) > si else 0
-        left, right = _side_children(c, token)
-        base = 8 + 4 * si
-        put(base, left[0] if left else None)
-        put(base + 1, right[-1] if right else None)
-        put(base + 2, left[1] if len(left) > 1 else None)
-        put(base + 3, right[-2] if len(right) > 1 else None)
-        ll, _ = _side_children(c, left[0] if left else 0)
-        _, rr = _side_children(c, right[-1] if right else 0)
-        put(16 + 2 * si, ll[0] if ll else None)
-        put(17 + 2 * si, rr[-1] if rr else None)
-    return out
-
-
-def label_features(c: ParserConfiguration, tokens: Optional[np.ndarray] = None) -> np.ndarray:
-    """Label vocab ids of the 12 child template slots (NULL id when empty)."""
-    if tokens is None:
-        tokens = feature_tokens(c)
-    child_slots = tokens[8:]
-    out = np.full(N_LABEL_TEMPLATES, NULL_ID, dtype=np.int64)
-    by_dep = {d: l for (_, l, d) in c.arcs}
-    for i, tok in enumerate(child_slots):
-        if tok != NULL_TOKEN:
-            out[i] = by_dep.get(int(tok), NULL_ID)
-    return out
-
-
-def featurize(c: ParserConfiguration, base: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(20,) template token rows and (12,) label ids of one configuration.
-
-    Token ``t`` of the sentence is row ``base + t - 1`` of the per-token
-    tables (``base`` is the sentence's first row); empty slots are -1.
-    """
-    tokens = feature_tokens(c)
-    rows = np.where(tokens != NULL_TOKEN, tokens + (base - 1), NULL_TOKEN)
-    return rows, label_features(c, tokens)
 
 
 def gather_activation_rows(
@@ -149,9 +80,7 @@ def score_actions(
     """(B, n_actions) logits over the full action space (unmasked), one row
     per configuration; ``configs[i]`` belongs to the sentence whose first
     token is row ``bases[i]`` of ``acts``. One parser forward for all B."""
-    feats = [featurize(c, base) for c, base in zip(configs, bases)]
-    rows = np.stack([r for r, _ in feats])
-    labels = np.stack([l for _, l in feats])
+    rows, labels = featurize(configs, bases)
     inputs = parser_input(model, params, rows, labels, acts)
     return forward_batch(model.parser, inputs, params).logits
 
@@ -179,11 +108,12 @@ def _decode(
     averaged: bool,
     fill_tags: Optional[bool],
     stats: Optional[ParseStats],
-) -> list[Sentence]:
+) -> tuple[list[Sentence], list[np.ndarray]]:
     """Greedy lockstep decode of a group of sentences: one tagger pass per
     sentence, then at every step one parser forward over all configurations
     still live; each applies its best legal action, and a configuration is
-    retired once terminal."""
+    retired once terminal. Returns the parsed sentences and each one's
+    tagger hidden rows."""
     if any(len(s) == 0 for s in sentences):
         raise StackpropError("cannot parse an empty sentence")
     tagged = [
@@ -211,8 +141,7 @@ def _decode(
                     f"non-terminal configuration with no legal action: {configs[i]}"
                 )
             scores[~mask] = -np.inf
-            action = model.actions.decode(int(np.argmax(scores)))
-            configs[i] = apply(configs[i], action, model.system)
+            apply(configs[i], model.actions.decode(int(np.argmax(scores))), model.system)
         n_steps += len(live)
         n_batches += 1
         live = [i for i in live if not is_terminal(configs[i])]
@@ -220,19 +149,15 @@ def _decode(
         fill_tags = not model.variant.stacked
     out = []
     for sentence, c, (pred_tags, _) in zip(sentences, configs, tagged):
-        heads = {d: (h, l) for (h, l, d) in c.arcs}
-        joint_tags = dict(c.tags)
         tokens = []
         for t in sentence.tokens:
-            h, l = heads[t.index]
             pred_upos = t.pred_upos
             if model.system.joint:
-                pred_upos = model.tags.string_of(joint_tags[t.index])
+                pred_upos = model.tags.string_of(c.tags[t.index])
             elif fill_tags:
                 pred_upos = pred_tags[t.index - 1]
-            tokens.append(
-                replace(t, pred_head=h, pred_deprel=model.labels.string_of(l), pred_upos=pred_upos)
-            )
+            head, label = c.head[t.index], model.labels.string_of(c.label[t.index])
+            tokens.append(replace(t, pred_head=head, pred_deprel=label, pred_upos=pred_upos))
         out.append(Sentence(tokens, id=sentence.id))
     if stats is not None:
         n_tokens = sum(len(s) for s in sentences)
@@ -241,7 +166,7 @@ def _decode(
         stats.tagger_evals += n_tokens
         stats.parser_evals += n_steps
         stats.parser_batches += n_batches
-    return out
+    return out, [a.hidden for _, a in tagged]
 
 
 def parse_sentence(
@@ -259,7 +184,7 @@ def parse_sentence(
     system, or from the tagger softmax when ``fill_tags`` is true, which is
     the default for a variant that is not stacked).
     """
-    return _decode([sentence], model, averaged, fill_tags, stats)[0]
+    return _decode([sentence], model, averaged, fill_tags, stats)[0][0]
 
 
 def parse_corpus(
@@ -268,20 +193,23 @@ def parse_corpus(
     threads: int = 1,
     averaged: bool = True,
     fill_tags: Optional[bool] = None,
+    activations: Optional[list[np.ndarray]] = None,
 ) -> tuple[list[Sentence], ParseStats]:
     """Parse a corpus in lockstep groups of consecutive sentences
     (``LOCKSTEP_SENTENCES`` each), mapped over a thread pool when
     ``threads > 1``. The groups do not depend on the thread count, and the
-    output order matches the input order."""
+    output order matches the input order. When ``activations`` is a list,
+    each sentence's (n, H) tagger hidden rows, computed for decoding, are
+    appended to it in input order."""
     t0 = time.perf_counter()
     groups = [
         sentences[i : i + LOCKSTEP_SENTENCES]
         for i in range(0, len(sentences), LOCKSTEP_SENTENCES)
     ]
 
-    def work(group: list[Sentence]) -> tuple[list[Sentence], ParseStats]:
+    def work(group: list[Sentence]) -> tuple[list[Sentence], list[np.ndarray], ParseStats]:
         local = ParseStats()
-        return _decode(group, model, averaged, fill_tags, local), local
+        return (*_decode(group, model, averaged, fill_tags, local), local)
 
     if threads <= 1:
         results = [work(g) for g in groups]
@@ -290,8 +218,10 @@ def parse_corpus(
             results = list(pool.map(work, groups))
     parsed: list[Sentence] = []
     stats = ParseStats()
-    for group_parsed, local in results:
+    for group_parsed, hidden, local in results:
         parsed += group_parsed
+        if activations is not None:
+            activations += hidden
         stats.add(local)
     stats.seconds = time.perf_counter() - t0
     return parsed, stats

@@ -41,7 +41,7 @@ from stackprop.nnkernel import (
     scatter_rows,
     softmax_xent_batch,
 )
-from stackprop.parser import featurize, parse_corpus, parser_input
+from stackprop.parser import parse_corpus, parser_input
 from stackprop.tagger import (
     GROUP_ORDER,
     WORD_WINDOW,
@@ -51,7 +51,7 @@ from stackprop.tagger import (
     load_pretrained_embeddings,
     tag_sentence,
 )
-from stackprop.transition import unroll
+from stackprop.transition import template_rows, unroll
 
 log = logging.getLogger("stackprop")
 
@@ -122,7 +122,8 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
     tag_inputs = {name: [] for name in GROUP_ORDER}
     tag_gold: list[int] = []
     offsets = [0]
-    deriv_tokens, deriv_labels, deriv_gold = [], [], []
+    steps: list[tuple] = []
+    step_bases: list[int] = []
     skipped = 0
     kept: list[Sentence] = []
     for s in prepared:
@@ -139,21 +140,19 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
             tag_inputs[name].append(enc[name])
         tag_gold.extend(model.tags.class_index(t.gold_upos) for t in s.tokens)
         offsets.append(base + len(s))
-        for c, a in deriv.steps:
-            rows, labels = featurize(c, base)
-            deriv_tokens.append(rows)
-            deriv_labels.append(labels)
-            deriv_gold.append(model.actions.encode(a))
+        steps += deriv.steps
+        step_bases += [base] * len(deriv)
     if not kept:
         raise StackpropError("no trainable sentences after unrolling")
+    tokens, labels, actions = zip(*steps)
     return EncodedCorpus(
         sentences=kept,
         tag_inputs={k: np.concatenate(v) for k, v in tag_inputs.items()},
         tag_gold=np.array(tag_gold, dtype=np.int64),
         offsets=np.array(offsets, dtype=np.int64),
-        deriv_tokens=np.stack(deriv_tokens),
-        deriv_labels=np.stack(deriv_labels),
-        deriv_gold=np.array(deriv_gold, dtype=np.int64),
+        deriv_tokens=template_rows(tokens, step_bases),
+        deriv_labels=np.array(labels, dtype=np.int64),
+        deriv_gold=np.array([model.actions.encode(a) for a in actions], dtype=np.int64),
         skipped=skipped,
     )
 

@@ -1,18 +1,22 @@
 """Arc-standard transition system with optional SWAP and tag-augmented SHIFT.
 
-Configurations are immutable values; ``apply`` returns a new configuration.
-The static oracle unrolls gold trees into (configuration, action) derivations
-used as offline training examples.
+A configuration is one mutable record: ``apply`` changes it in place, and
+every read that featurization or the oracle makes costs O(1). The static
+oracle unrolls gold trees into derivations whose steps carry the featurized
+configuration (template tokens and label ids) and the gold action, the
+offline training examples.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from stackprop.corpus import Sentence, Vocab
+from stackprop.corpus import NULL_ID, Sentence, Vocab, projective_order
 from stackprop.errors import StackpropError, UnrollError
 
 SHIFT = "SHIFT"
@@ -22,6 +26,9 @@ SWAP = "SWAP"
 SHIFT_TAG = "SHIFT_TAG"
 
 ROOT = 0  # stack sentinel; never a token index
+NULL_TOKEN = -1  # template slot with no token (or the root sentinel)
+N_TOKEN_TEMPLATES = 20
+N_LABEL_TEMPLATES = 12
 
 
 @dataclass(frozen=True)
@@ -43,35 +50,46 @@ class Action:
             raise StackpropError(f"tag mismatch for action kind {self.kind}")
 
 
-@dataclass(frozen=True)
 class ParserConfiguration:
-    """Stack (bottom..top, sentinel 0 at bottom), buffer queue, arc set.
+    """Stack (bottom..top, sentinel 0 at bottom), buffer and partial tree of
+    an ``n``-token sentence. ``queue`` holds the buffer front last, so SHIFT
+    and SWAP are O(1). ``head``/``label`` are indexed by token (-1 and
+    NULL_ID while unattached); ``left``/``right`` list each head's
+    dependents on either side in surface order. ``tags`` maps each token to
+    the tag its last SHIFT_TAG assigned in the joint system."""
 
-    Arcs are (head, label_id, dependent) triples. ``tags`` records the
-    (token, tag_id) assignments made by SHIFT_TAG in the joint system.
-    """
+    __slots__ = ("stack", "queue", "head", "label", "left", "right", "tags")
 
-    stack: tuple[int, ...]
-    buffer: tuple[int, ...]
-    arcs: frozenset[tuple[int, int, int]]
-    tags: tuple[tuple[int, int], ...] = ()
+    def __init__(self, n: int):
+        self.stack = [ROOT]
+        self.queue = list(range(n, 0, -1))
+        self.head = [-1] * (n + 1)
+        self.label = [NULL_ID] * (n + 1)
+        self.left: list[list[int]] = [[] for _ in range(n + 1)]
+        self.right: list[list[int]] = [[] for _ in range(n + 1)]
+        self.tags: dict[int, int] = {}
 
-    def attached(self) -> set[int]:
-        return {d for (_, _, d) in self.arcs}
+    @property
+    def buffer(self) -> tuple[int, ...]:
+        return tuple(reversed(self.queue))
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int, int]]:
+        """The (head, label_id, dependent) triples built so far."""
+        return frozenset((h, self.label[d], d) for d, h in enumerate(self.head) if h >= 0)
+
+    def __repr__(self) -> str:
+        return f"ParserConfiguration(stack={self.stack}, buffer={list(self.buffer)})"
 
 
 def initial(sentence: Sentence) -> ParserConfiguration:
     if len(sentence) == 0:
         raise StackpropError("cannot initialize a configuration for an empty sentence")
-    return ParserConfiguration(
-        stack=(ROOT,),
-        buffer=tuple(range(1, len(sentence) + 1)),
-        arcs=frozenset(),
-    )
+    return ParserConfiguration(len(sentence))
 
 
 def is_terminal(c: ParserConfiguration) -> bool:
-    return len(c.stack) == 1 and not c.buffer
+    return len(c.stack) == 1 and not c.queue
 
 
 def legal_actions(c: ParserConfiguration, system: TransitionSystem) -> set[str]:
@@ -82,7 +100,7 @@ def legal_actions(c: ParserConfiguration, system: TransitionSystem) -> set[str]:
     which bounds the number of swaps and is decidable without gold trees.
     """
     kinds: set[str] = set()
-    if c.buffer:
+    if c.queue:
         kinds.add(SHIFT_TAG if system.joint else SHIFT)
     if len(c.stack) >= 2:
         s0, s1 = c.stack[-1], c.stack[-2]
@@ -95,55 +113,89 @@ def legal_actions(c: ParserConfiguration, system: TransitionSystem) -> set[str]:
 
 
 def apply(c: ParserConfiguration, a: Action, system: TransitionSystem) -> ParserConfiguration:
-    if a.kind not in legal_actions(c, system):
+    """Apply a legal action to ``c`` in place; returns ``c``."""
+    kind = a.kind
+    if kind not in legal_actions(c, system):
         raise StackpropError(f"illegal action {a} in configuration {c}")
-    if a.kind in (SHIFT, SHIFT_TAG):
-        token = c.buffer[0]
-        tags = c.tags + ((token, a.tag),) if a.kind == SHIFT_TAG else c.tags
-        return ParserConfiguration(c.stack + (token,), c.buffer[1:], c.arcs, tags)
-    s0, s1 = c.stack[-1], c.stack[-2]
-    if a.kind == LEFT_ARC:
-        arcs = c.arcs | {(s0, a.label, s1)}
-        return ParserConfiguration(c.stack[:-2] + (s0,), c.buffer, arcs, c.tags)
-    if a.kind == RIGHT_ARC:
-        arcs = c.arcs | {(s1, a.label, s0)}
-        return ParserConfiguration(c.stack[:-1], c.buffer, arcs, c.tags)
-    # SWAP: second-top goes back to the buffer front
-    return ParserConfiguration(
-        c.stack[:-2] + (s0,), (s1,) + c.buffer, c.arcs, c.tags
-    )
+    stack = c.stack
+    if kind == SHIFT or kind == SHIFT_TAG:
+        token = c.queue.pop()
+        stack.append(token)
+        if kind == SHIFT_TAG:
+            c.tags[token] = a.tag
+        return c
+    if kind == SWAP:  # second-top goes back to the buffer front
+        c.queue.append(stack.pop(-2))
+        return c
+    dep = stack.pop(-2) if kind == LEFT_ARC else stack.pop()
+    head = stack[-1]
+    c.head[dep] = head
+    c.label[dep] = a.label
+    insort(c.left[head] if dep < head else c.right[head], dep)
+    return c
 
 
-def projective_order(sentence: Sentence) -> dict[int, int]:
-    """Rank of each token in the in-order traversal of the gold tree.
+def feature_tokens(c: ParserConfiguration) -> list[int]:
+    """The 20 template token indices for a configuration (-1 for NULL).
 
-    Children are visited in surface order with the head taking its own
-    surface slot between its left and right children. For projective trees
-    the ranks equal the surface order.
+    Layout: four top stack slots, four buffer slots, then for each of the two
+    top stack tokens the leftmost/rightmost and second-leftmost/-rightmost
+    children, then leftmost-of-leftmost and rightmost-of-rightmost.
     """
-    heads = sentence.gold_heads()
-    n = len(heads)
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    for d in range(1, n + 1):
-        children[heads[d - 1]].append(d)
-    order: dict[int, int] = {}
-    rank = 0
-    # explicit stack: (node, emit) where emit means "assign rank now"
-    work: list[tuple[int, bool]] = [(ROOT, False)]
-    while work:
-        node, emit = work.pop()
-        if emit:
-            rank += 1
-            order[node] = rank
+    stack, queue, left, right = c.stack, c.queue, c.left, c.right
+    out = [NULL_TOKEN] * N_TOKEN_TEMPLATES
+    for i, token in enumerate(reversed(stack[-4:])):
+        if token != ROOT:
+            out[i] = token
+    for i, token in enumerate(reversed(queue[-4:])):
+        out[4 + i] = token
+    for si, token in enumerate(reversed(stack[-2:])):
+        if token == ROOT:
             continue
-        left = [c for c in children[node] if c < node]
-        right = [c for c in children[node] if c > node]
-        items: list[tuple[int, bool]] = [(c, False) for c in left]
-        if node != ROOT:
-            items.append((node, True))
-        items += [(c, False) for c in right]
-        work.extend(reversed(items))
-    return order
+        base = 8 + 4 * si
+        lc, rc = left[token], right[token]
+        if lc:
+            out[base] = lc[0]
+            if len(lc) > 1:
+                out[base + 2] = lc[1]
+            if left[lc[0]]:
+                out[16 + 2 * si] = left[lc[0]][0]
+        if rc:
+            out[base + 1] = rc[-1]
+            if len(rc) > 1:
+                out[base + 3] = rc[-2]
+            if right[rc[-1]]:
+                out[17 + 2 * si] = right[rc[-1]][-1]
+    return out
+
+
+def label_features(c: ParserConfiguration, tokens: Optional[list[int]] = None) -> list[int]:
+    """Label vocab ids of the 12 child template slots (NULL id when empty)."""
+    if tokens is None:
+        tokens = feature_tokens(c)
+    label = c.label
+    return [NULL_ID if t == NULL_TOKEN else label[t] for t in tokens[8:]]
+
+
+def template_rows(tokens: Sequence[Sequence[int]], bases: Sequence[int]) -> np.ndarray:
+    """(B, 20) rows of the per-token tables: token ``t`` of step ``i`` is
+    row ``bases[i] + t - 1`` (``bases[i]`` is its sentence's first row);
+    empty slots stay -1."""
+    t = np.array(tokens, dtype=np.int64).reshape(-1, N_TOKEN_TEMPLATES)
+    shift = np.asarray(bases, dtype=np.int64)[:, None] - 1
+    return np.where(t != NULL_TOKEN, t + shift, NULL_TOKEN)
+
+
+def featurize(
+    configs: Sequence[ParserConfiguration], bases: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, 20) template rows (``template_rows``) and (B, 12) label ids of B
+    configurations; ``configs[i]`` belongs to the sentence whose first token
+    is row ``bases[i]`` of the per-token tables."""
+    tokens = [feature_tokens(c) for c in configs]
+    labels = [label_features(c, t) for c, t in zip(configs, tokens)]
+    labels = np.array(labels, dtype=np.int64).reshape(-1, N_LABEL_TEMPLATES)
+    return template_rows(tokens, bases), labels
 
 
 def oracle(
@@ -153,6 +205,7 @@ def oracle(
     labels: Vocab,
     tags: Optional[Vocab] = None,
     porder: Optional[dict[int, int]] = None,
+    n_deps: Optional[Counter] = None,
 ) -> Action:
     """Static-oracle action for a configuration reachable from gold replay.
 
@@ -161,29 +214,32 @@ def oracle(
     inverted with respect to the projective order, then SHIFT. The guard on
     LEFT_ARC matters only under SWAP, where stack order can put a token next
     to its head before the token's buffer-side dependents have attached.
+    ``porder`` (``projective_order``) and ``n_deps`` (gold dependents per
+    head) are computed when not given. A gold replay builds gold arcs only,
+    so a token with as many dependents as in the gold tree is complete.
     """
-    heads = gold.gold_heads()
+    if n_deps is None:
+        n_deps = Counter(t.gold_head for t in gold.tokens)
 
     def complete(token: int) -> bool:
-        deps = [d for d in range(1, len(gold) + 1) if heads[d - 1] == token]
-        return all(d in c.attached() for d in deps)
+        return len(c.left[token]) + len(c.right[token]) == n_deps[token]
 
     if len(c.stack) >= 2:
         s0, s1 = c.stack[-1], c.stack[-2]
-        if s1 != ROOT and heads[s1 - 1] == s0 and complete(s1):
+        if s1 != ROOT and gold.token(s1).gold_head == s0 and complete(s1):
             return Action(LEFT_ARC, label=labels.id_of(gold.token(s1).gold_deprel))
-        if heads[s0 - 1] == s1 and complete(s0):
+        if gold.token(s0).gold_head == s1 and complete(s0):
             return Action(RIGHT_ARC, label=labels.id_of(gold.token(s0).gold_deprel))
         if system.swap and s1 != ROOT and s1 < s0:
             if porder is None:
                 porder = projective_order(gold)
             if porder[s1] > porder[s0]:
                 return Action(SWAP)
-    if c.buffer:
+    if c.queue:
         if system.joint:
             if tags is None:
                 raise StackpropError("joint oracle needs a tag vocabulary")
-            return Action(SHIFT_TAG, tag=tags.id_of(gold.token(c.buffer[0]).gold_upos))
+            return Action(SHIFT_TAG, tag=tags.id_of(gold.token(c.queue[-1]).gold_upos))
         return Action(SHIFT)
     raise UnrollError(
         f"no oracle action for sentence {gold.id} at {c} "
@@ -193,14 +249,18 @@ def oracle(
 
 @dataclass
 class Derivation:
+    """An oracle derivation: each step is the configuration's template
+    tokens (``feature_tokens``), its label ids (``label_features``) and the
+    gold action taken from it."""
+
     sentence_id: str
-    steps: list[tuple[ParserConfiguration, Action]]
+    steps: list[tuple[list[int], list[int], Action]]
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def actions(self) -> list[Action]:
-        return [a for _, a in self.steps]
+        return [a for _, _, a in self.steps]
 
 
 def unroll(
@@ -209,22 +269,25 @@ def unroll(
     labels: Vocab,
     tags: Optional[Vocab] = None,
 ) -> Derivation:
-    """Unroll a gold tree into its oracle derivation.
+    """Unroll a gold tree into its oracle derivation, featurizing each
+    configuration before its action is applied.
 
     Arc-standard derivations have exactly 2n steps; SWAP adds at most one
     step per inverted token pair, which bounds the loop.
     """
     n = len(gold)
     porder = projective_order(gold) if system.swap else None
+    n_deps = Counter(t.gold_head for t in gold.tokens)
     limit = 2 * n + n * (n - 1) // 2 + 1
     c = initial(gold)
-    steps: list[tuple[ParserConfiguration, Action]] = []
+    steps: list[tuple[list[int], list[int], Action]] = []
     while not is_terminal(c):
         if len(steps) >= limit:
             raise UnrollError(f"derivation for sentence {gold.id} did not terminate")
-        a = oracle(c, gold, system, labels, tags, porder)
-        steps.append((c, a))
-        c = apply(c, a, system)
+        a = oracle(c, gold, system, labels, tags, porder, n_deps)
+        tokens = feature_tokens(c)
+        steps.append((tokens, label_features(c, tokens), a))
+        apply(c, a, system)
     return Derivation(gold.id, steps)
 
 
@@ -234,26 +297,8 @@ def replay(
     """Apply an action sequence from the initial configuration."""
     c = initial(gold)
     for a in actions:
-        c = apply(c, a, system)
+        apply(c, a, system)
     return c
-
-
-def format_derivation(
-    deriv: Derivation, labels: Vocab, tags: Optional[Vocab] = None
-) -> str:
-    """Line-oriented debug dump: action, label/tag, stack and buffer."""
-    lines = []
-    for c, a in deriv.steps:
-        if a.label is not None:
-            arg = labels.string_of(a.label)
-        elif a.tag is not None:
-            arg = tags.string_of(a.tag) if tags else str(a.tag)
-        else:
-            arg = "_"
-        lines.append(
-            f"{a.kind}\t{arg}\tstack={list(c.stack)}\tbuffer={list(c.buffer)}"
-        )
-    return "\n".join(lines) + "\n" if lines else ""
 
 
 class ActionSpace:
@@ -328,7 +373,7 @@ class ActionSpace:
                 mask[self._left0 : self._left0 + self.n_labels] = label_ok
             if s1 != ROOT:
                 mask[self._right0 : self._right0 + self.n_labels] = label_ok
-            elif not c.buffer:
+            elif not c.queue:
                 if self.root_exclusive and self.root_label >= 2:
                     mask[self._right0 + self.root_label - 2] = True
                 else:

@@ -1,6 +1,7 @@
 """Shared corpus builders and enumeration helpers."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -65,6 +66,19 @@ def random_tree(n, rng):
                 break
         if ok:
             return heads
+
+
+def chain_sentences(sentences, sid="chain"):
+    """One sentence made of ``sentences`` in order, each later root attached
+    to the first sentence's root."""
+    tokens, root = [], 0
+    for s in sentences:
+        base = len(tokens)
+        for t in s.tokens:
+            head = base + t.gold_head if t.gold_head else root
+            tokens.append(replace(t, index=base + t.index, gold_head=head))
+        root = root or next(base + t.index for t in s.tokens if t.gold_head == 0)
+    return Sentence(tokens, id=sid)
 
 
 # "I ate fish": heads 2, 0, 2 -- the worked example used across modules

@@ -1,13 +1,20 @@
 """The benchmark's span tracer must keep resolving against the library.
 
 ``perfbench/spans.py`` wraps library functions by name; a renamed or deleted
-function should fail here rather than only in a traced benchmark run.
+function, or a hot path that stops calling one, should fail here rather than
+only in a traced benchmark run.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+from stackprop import parser as parser_mod, trainer as trainer_mod
+from stackprop.model import STACKPROP, build_model
+from stackprop.synthetic import generate_corpus
+
+from conftest import tiny_settings
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -51,3 +58,31 @@ def test_tracer_wraps_every_target_and_restores():
     assert all(after[key] is value for key, value in before.items())
     for cls, attr, original in methods:
         assert cls.__dict__[attr] is original
+
+
+def test_tracer_reaches_every_transition_and_feature_span():
+    """Traced encoding and decoding reach the feature, apply, unroll and
+    oracle spans the per-layer split is built from, once per configuration
+    featurized or action applied."""
+    spans = load_spans()
+    corpus = generate_corpus(6, seed=3, p_nonproj=0.3)
+    s = tiny_settings()
+    m = build_model(STACKPROP, corpus, s.tagger_cfg, s.parser_cfg)
+    tracer = spans.Tracer()
+    with tracer:
+        with tracer.phase("run"):
+            data = trainer_mod.encode_training_data(corpus, m)
+            _, stats = parser_mod.parse_corpus(corpus, m)
+    counts = {}
+    for rec in tracer.spans:
+        counts[rec[spans.NAME]] = counts.get(rec[spans.NAME], 0) + 1
+    steps = data.n_parse_examples
+    assert counts["transition.unroll"] == len(corpus)
+    assert counts["transition.oracle"] == steps
+    assert counts["transition.apply"] == steps + stats.parser_evals
+    # feature_tokens and label_features per configuration, one gather per forward
+    assert counts["parser.feature"] == 2 * (steps + stats.parser_evals) + stats.parser_batches
+    metrics = spans.layer_metrics(tracer.spans)
+    for name in ("parser.feature_s", "transition.apply_s", "transition.unroll_s", "trainer.encode_s"):
+        assert metrics[name] > 0, name
+    assert metrics["transition.oracle_calls"] == steps

@@ -131,6 +131,42 @@ def test_emit_activations(trained_model, workdir):
     assert len(lines[0].split("\t")) == 3 + 16  # id, index, form, H floats
 
 
+def test_emit_activations_tags_each_token_once(trained_model, workdir, monkeypatch):
+    """The dumped rows are the ones decoding computed: the tagger evaluates
+    one row per token, and each row (after its sentence id) equals a
+    separate tagging pass."""
+    from stackprop import model as model_mod, tagger as tagger_mod
+
+    text = emit_conllu(generate_corpus(30, seed=52))
+    (workdir / "many.conllu").write_text(text, encoding="utf-8")
+    sentences = parse_conllu(text)
+    m = model_mod.load(str(trained_model))
+    expected = []
+    for s in sentences:
+        _, acts = tagger_mod.tag_sentence(s, m.tagger, m.tvocabs, m.tags)
+        for t in s.tokens:
+            vec = "\t".join(f"{x:.6g}" for x in acts.hidden[t.index - 1])
+            expected.append(f"{t.index}\t{t.form}\t{vec}")
+
+    rows = []
+    real_forward = tagger_mod.forward_batch
+
+    def counting_forward(net, inputs, params=None):
+        if not any(g.name == "labels" for g in net.groups):
+            rows.append(next(iter(inputs.values())).shape[0])
+        return real_forward(net, inputs, params)
+
+    monkeypatch.setattr(tagger_mod, "forward_batch", counting_forward)
+    acts = workdir / "many_acts.tsv"
+    rc = main(["parse", "--model", str(trained_model), "--input",
+               str(workdir / "many.conllu"), "--output", os.devnull,
+               "--emit-activations", str(acts)])
+    assert rc == 0
+    assert sum(rows) == sum(len(s) for s in sentences)
+    dumped = acts.read_text().strip().split("\n")
+    assert [line.split("\t", 1)[1] for line in dumped] == expected
+
+
 def test_eval_identical_files(workdir, capsys):
     rc = main(["eval", "--gold", str(workdir / "dev.conllu"), "--system",
                str(workdir / "dev.conllu"), "--machine"])

@@ -1,11 +1,12 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackprop.corpus import (
     Vocab,
-    arcs_cross,
     build_vocabs,
     emit_conllu,
     is_projective,
@@ -13,8 +14,37 @@ from stackprop.corpus import (
     projectivize,
 )
 from stackprop.errors import CorpusError
+from stackprop.synthetic import generate_corpus
 
-from conftest import all_trees, make_sentence, random_tree
+from conftest import all_trees, chain_sentences, make_sentence, random_tree
+
+
+def arcs_cross(h1, d1, h2, d2):
+    """Strict interval-crossing test for two arcs given as (head, dependent)."""
+    a, b = min(h1, d1), max(h1, d1)
+    c, d = min(h2, d2), max(h2, d2)
+    return (a < c < b < d) or (c < a < d < b)
+
+
+def reference_projectivize_heads(heads):
+    """Lifting by comparing every pair of arcs: take the crossing non-root
+    arc with the shortest span (the lower dependent on a tie) and re-attach
+    its dependent to the grandparent, until no arcs cross."""
+    heads = list(heads)
+    n = len(heads)
+    while True:
+        crossing = set()
+        arcs = [(heads[d - 1], d) for d in range(1, n + 1)]
+        for i in range(len(arcs)):
+            for j in range(i + 1, len(arcs)):
+                if arcs_cross(*arcs[i], *arcs[j]):
+                    crossing.add(arcs[i])
+                    crossing.add(arcs[j])
+        liftable = [(h, d) for (h, d) in crossing if h != 0]
+        if not liftable:
+            return heads
+        h, d = min(liftable, key=lambda arc: (abs(arc[0] - arc[1]), arc[1]))
+        heads[d - 1] = heads[h - 1]
 
 TWO_TOKEN = (
     "1\tHi\t_\tINTJ\t_\t_\t0\troot\t_\t_\n"
@@ -187,6 +217,40 @@ def test_projectivize_property_random_trees():
         p = projectivize(s)
         assert is_projective(p)
         assert len(p) == len(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 40),
+    n_chained=st.integers(1, 6),
+    p_nonproj=st.floats(0.05, 1.0),
+)
+def test_projectivize_lifts_the_arcs_the_pairwise_scan_lifts(seed, n, n_chained, p_nonproj):
+    rng = np.random.default_rng(seed)
+    random = make_sentence(random_tree(n, rng))
+    chained = chain_sentences(generate_corpus(n_chained, seed=seed, p_nonproj=p_nonproj))
+    for s in (random, chained):
+        p = projectivize(s)
+        assert p.gold_heads() == reference_projectivize_heads(s.gold_heads())
+        assert is_projective(p)
+
+
+def test_projectivize_long_nonprojective_chain_is_fast():
+    sentences, n = [], 0
+    for s in generate_corpus(80, seed=1, p_nonproj=1.0):
+        sentences.append(s)
+        n += len(s)
+        if n >= 396:
+            break
+    chain = chain_sentences(sentences)
+    assert len(chain) == 396 and not is_projective(chain)
+    t0 = time.perf_counter()
+    p = projectivize(chain)
+    elapsed = time.perf_counter() - t0
+    assert is_projective(p)
+    assert sum(a != b for a, b in zip(p.gold_heads(), chain.gold_heads())) == 78
+    assert elapsed < 0.1, elapsed
 
 
 def test_vocab_ids_dense_and_deterministic():

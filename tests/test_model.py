@@ -1,17 +1,29 @@
 import hashlib
 import io
 import json
+import os
 import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackprop.corpus import build_vocabs
 from stackprop.errors import ModelError
-from stackprop.model import MODES, VARIANTS, build_model, load, parameter_count, save
-from stackprop.nnkernel import MAGIC, block_shapes
+from stackprop.model import (
+    MODES,
+    VARIANTS,
+    ParserNetworkConfig,
+    build_model,
+    load,
+    parameter_count,
+    save,
+)
+from stackprop.nnkernel import MAGIC, OptimizerConfig, block_shapes
 from stackprop.synthetic import generate_corpus
-from stackprop.tagger import build_tagger_vocabs
+from stackprop.tagger import TaggerConfig, build_tagger_vocabs
+from stackprop.trainer import encode_training_data, parser_batch_update
 
 from conftest import tiny_settings
 
@@ -143,3 +155,41 @@ def test_trailing_bytes_raise_model_error(saved):
     header, blocks = split_container(saved)
     with pytest.raises(ModelError):
         load(io.BytesIO(rechecksum(header, blocks + b"\0" * 8)))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_make_no_whole_file_copies(tmp_path):
+    """Saving streams each block into the checksum and the destination, and
+    loading copies each block once out of the file's bytes: the save peak
+    (a BytesIO destination included) stays within 1.3x of the file and the
+    load peak within 2.2x. Averages held as running sums are saved as the
+    same bytes as their settled means."""
+    m = build_model(
+        "stackprop", CORPUS, TaggerConfig(hidden=64), ParserNetworkConfig(hidden=256), seed=0
+    )
+    data = encode_training_data(CORPUS, m)
+    parser_batch_update(m, data, np.arange(16), OptimizerConfig(averaging_start=0))
+    assert m.parser._summed  # the averages are running sums
+    path = str(tmp_path / "model.bin")
+    save_peak = _traced_peak(lambda: save(m, path))
+    size = os.path.getsize(path)
+    assert size > 4_000_000
+    buf = io.BytesIO()
+    buffer_peak = _traced_peak(lambda: save(m, buf))
+    load_peak = _traced_peak(lambda: load(path))
+    assert save_peak <= 0.3 * size
+    assert buffer_peak <= 1.3 * size
+    assert load_peak <= 2.2 * size
+    m.parser.settle_averages()
+    settled = io.BytesIO()
+    save(m, settled)
+    with open(path, "rb") as f:
+        assert f.read() == buf.getvalue() == settled.getvalue()

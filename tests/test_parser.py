@@ -32,7 +32,6 @@ from stackprop.transition import (
     SHIFT,
     Action,
     ActionSpace,
-    ParserConfiguration,
     TransitionSystem,
     initial,
     replay,
@@ -54,7 +53,7 @@ def tiny_model(sentences=None, mode=STACKPROP, seed=0):
 def test_feature_tokens_initial_config():
     c = initial(I_ATE_FISH)
     toks = feature_tokens(c)
-    assert toks.shape == (20,)
+    assert len(toks) == 20
     # stack slots (incl. the root sentinel) are NULL
     assert list(toks[:4]) == [NULL_TOKEN] * 4
     # buffer slots b0..b3
@@ -79,7 +78,7 @@ def test_feature_tokens_children():
     # replay up to the configuration where 2 heads {1,3}: after RIGHT_ARC(obj)
     c = replay(I_ATE_FISH, deriv.actions()[:5], STD)
     toks = feature_tokens(c)
-    assert c.stack == (0, 2)
+    assert c.stack == [0, 2]
     assert toks[0] == 2
     assert toks[8] == 1  # leftmost child of s0
     assert toks[9] == 3  # rightmost child of s0
@@ -98,25 +97,28 @@ def test_label_features_track_arcs():
 def decode_input(c, sentence, m, averaged=True):
     """The parser input the decoder builds for configuration ``c``."""
     _, acts = tag_sentence(sentence, m.tagger, m.tvocabs, m.tags, averaged=averaged)
-    rows, labels = featurize(c)
+    rows, labels = featurize([c], [0])
     params = m.parser.inference_params(averaged)
-    return parser_input(m, params, rows[None], labels[None], acts)
+    return parser_input(m, params, rows, labels, acts)
 
 
 def test_featurize_rows_are_zero_based_and_offset():
     c = replay(I_ATE_FISH, [Action(SHIFT)], STD)
-    toks = feature_tokens(c)
-    rows, labels = featurize(c)
-    assert np.array_equal(rows, np.where(toks == NULL_TOKEN, -1, toks - 1))
-    assert np.array_equal(labels, label_features(c))
-    shifted, _ = featurize(c, base=10)
-    assert np.array_equal(shifted, np.where(rows == -1, -1, rows + 10))
+    toks = np.array(feature_tokens(c))
+    rows, labels = featurize([c], [0])
+    assert rows.shape == (1, 20) and labels.shape == (1, 12)
+    assert np.array_equal(rows[0], np.where(toks == NULL_TOKEN, -1, toks - 1))
+    assert np.array_equal(labels[0], label_features(c))
+    shifted, _ = featurize([c, c], [10, 0])
+    assert np.array_equal(shifted[0], np.where(rows[0] == -1, -1, rows[0] + 10))
+    assert np.array_equal(shifted[1], rows[0])
 
 
 def test_assemble_parser_input_null_rows():
     m = tiny_model()
-    # fabricate a configuration with everything empty: terminal-like
-    c = ParserConfiguration(stack=(0,), buffer=(), arcs=frozenset())
+    # the terminal configuration: every template slot is empty
+    c = replay(I_ATE_FISH, unroll(I_ATE_FISH, STD, m.labels).actions(), STD)
+    assert c.stack == [0] and not c.buffer
     inputs = decode_input(c, I_ATE_FISH, m)
     dense = inputs["implicit"][0]
     assert dense.shape == (20, TCFG.hidden)

@@ -35,7 +35,7 @@ from stackprop.trainer import (
     train_variant,
     window_train,
 )
-from stackprop.transition import unroll
+from stackprop.transition import apply, initial, unroll
 
 from conftest import make_sentence, random_tree, tiny_settings
 
@@ -174,8 +174,10 @@ def test_decode_input_matches_training_batch(sizes, seed, swap, mode):
         for sent in data.sentences:
             _, acts = tag_sentence(sent, model.tagger, model.tvocabs, model.tags, averaged=False)
             dists.append(acts.probs)
-            for c, _ in unroll(sent, model.system, model.labels, model.tags).steps:
+            c = initial(sent)
+            for a in unroll(sent, model.system, model.labels, model.tags).actions():
                 score_actions([c], [0], model, acts, params)
+                apply(c, a, model.system)
     assert len(decoded) == data.n_parse_examples
 
     n = data.n_parse_examples

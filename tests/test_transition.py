@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stackprop.corpus import Vocab, is_projective, projectivize
+from stackprop.corpus import NULL_ID, Vocab, is_projective, projectivize
 from stackprop.errors import StackpropError, UnrollError
 from stackprop.transition import (
     LEFT_ARC,
@@ -12,7 +15,8 @@ from stackprop.transition import (
     ActionSpace,
     TransitionSystem,
     apply,
-    format_derivation,
+    feature_tokens,
+    featurize,
     initial,
     is_terminal,
     legal_actions,
@@ -36,7 +40,7 @@ def gold_arc_set(sentence, labels):
 
 def test_initial_configuration():
     c = initial(I_ATE_FISH)
-    assert c.stack == (0,)
+    assert c.stack == [0]
     assert c.buffer == (1, 2, 3)
     assert c.arcs == frozenset()
     c1 = initial(make_sentence([0]))
@@ -75,16 +79,23 @@ def test_apply_shift_and_arcs(simple_vocabs):
     labels, _ = simple_vocabs
     one = make_sentence([0], forms=["w1"])
     c = apply(initial(one), Action(SHIFT), STD)
-    assert c.stack == (0, 1) and c.buffer == ()
+    assert c.stack == [0, 1] and c.buffer == ()
 
-    c = replay(I_ATE_FISH, [Action(SHIFT), Action(SHIFT)], STD)
+    prefix = [Action(SHIFT), Action(SHIFT)]
+    c = replay(I_ATE_FISH, prefix, STD)
     nsubj = labels.id_of("nsubj")
-    c2 = apply(c, Action(LEFT_ARC, label=nsubj), STD)
-    assert c2.arcs == frozenset({(2, nsubj, 1)})
-    assert c2.stack == (0, 2)
-    # purity: the original configuration is untouched and re-apply agrees
     assert c.arcs == frozenset()
-    assert apply(c, Action(LEFT_ARC, label=nsubj), STD) == c2
+    # apply changes the configuration in place and returns it
+    assert apply(c, Action(LEFT_ARC, label=nsubj), STD) is c
+    assert c.arcs == frozenset({(2, nsubj, 1)})
+    assert c.stack == [0, 2] and c.buffer == (3,)
+    assert c.head[1] == 2 and c.label[1] == nsubj and c.left[2] == [1]
+    # a fresh replay of the same prefix is untouched, and applying the same
+    # action to it reaches the same configuration
+    again = replay(I_ATE_FISH, prefix, STD)
+    assert again.arcs == frozenset() and again.stack == [0, 1, 2]
+    apply(again, Action(LEFT_ARC, label=nsubj), STD)
+    assert (again.stack, again.buffer, again.arcs) == (c.stack, c.buffer, c.arcs)
 
 
 def test_apply_illegal_action_errors():
@@ -196,8 +207,11 @@ def test_every_derivation_step_is_legal():
         n = int(rng.integers(1, 9))
         s = make_sentence(random_tree(n, rng))
         d = unroll(s, SWAPSYS, labels)
-        for c, a in d.steps:
+        c = initial(s)
+        for a in d.actions():
             assert a.kind in legal_actions(c, SWAPSYS)
+            apply(c, a, SWAPSYS)
+        assert is_terminal(c)
 
 
 def test_projective_order_identity_on_projective():
@@ -215,18 +229,24 @@ def test_projective_order_permutes_nonprojective():
     assert order == {1: 1, 3: 2, 2: 3}
 
 
-def test_derivation_dump_golden(simple_vocabs):
-    labels, tags = simple_vocabs
+def test_derivation_replay_golden(simple_vocabs):
+    labels, _ = simple_vocabs
     d = unroll(I_ATE_FISH, STD, labels)
-    expected = (
-        "SHIFT\t_\tstack=[0]\tbuffer=[1, 2, 3]\n"
-        "SHIFT\t_\tstack=[0, 1]\tbuffer=[2, 3]\n"
-        "LEFT_ARC\tnsubj\tstack=[0, 1, 2]\tbuffer=[3]\n"
-        "SHIFT\t_\tstack=[0, 2]\tbuffer=[3]\n"
-        "RIGHT_ARC\tobj\tstack=[0, 2, 3]\tbuffer=[]\n"
-        "RIGHT_ARC\troot\tstack=[0, 2]\tbuffer=[]\n"
-    )
-    assert format_derivation(d, labels, tags) == expected
+    expected = [
+        ("SHIFT", "_", [0], (1, 2, 3)),
+        ("SHIFT", "_", [0, 1], (2, 3)),
+        ("LEFT_ARC", "nsubj", [0, 1, 2], (3,)),
+        ("SHIFT", "_", [0, 2], (3,)),
+        ("RIGHT_ARC", "obj", [0, 2, 3], ()),
+        ("RIGHT_ARC", "root", [0, 2], ()),
+    ]
+    c = initial(I_ATE_FISH)
+    seen = []
+    for a in d.actions():
+        arg = "_" if a.label is None else labels.string_of(a.label)
+        seen.append((a.kind, arg, list(c.stack), c.buffer))
+        apply(c, a, STD)
+    assert seen == expected
 
 
 def test_action_space_encode_decode_roundtrip(simple_vocabs):
@@ -306,3 +326,117 @@ def test_joint_unroll_assigns_gold_tags(simple_vocabs):
         assert assigned[t.index] == tags.id_of(t.gold_upos)
     kinds = [a.kind for a in d.actions()]
     assert kinds.count(SHIFT_TAG) == 3 and SHIFT not in kinds
+
+
+def reference_features(stack, buffer, arcs):
+    """Template tokens and label ids recomputed from the arc set: the
+    children of a token are rescanned from every arc for each slot."""
+
+    def side_children(token):
+        if token <= 0:
+            return [], []
+        left = sorted(d for (h, _, d) in arcs if h == token and d < token)
+        right = sorted(d for (h, _, d) in arcs if h == token and d > token)
+        return left, right
+
+    out = [-1] * 20
+
+    def put(i, token):
+        if token is not None and token > 0:
+            out[i] = token
+
+    for i in range(4):
+        put(i, stack[-1 - i] if len(stack) > i else None)
+        put(4 + i, buffer[i] if len(buffer) > i else None)
+    for si in range(2):
+        token = stack[-1 - si] if len(stack) > si else 0
+        left, right = side_children(token)
+        base = 8 + 4 * si
+        put(base, left[0] if left else None)
+        put(base + 1, right[-1] if right else None)
+        put(base + 2, left[1] if len(left) > 1 else None)
+        put(base + 3, right[-2] if len(right) > 1 else None)
+        ll, _ = side_children(left[0] if left else 0)
+        _, rr = side_children(right[-1] if right else 0)
+        put(16 + 2 * si, ll[0] if ll else None)
+        put(17 + 2 * si, rr[-1] if rr else None)
+    by_dep = {d: l for (_, l, d) in arcs}
+    return out, [NULL_ID if t == -1 else by_dep.get(t, NULL_ID) for t in out[8:]]
+
+
+SYSTEMS = {
+    "arc-standard": STD,
+    "swap": SWAPSYS,
+    "joint": TransitionSystem(joint=True),
+    "joint-swap": TransitionSystem(swap=True, joint=True),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**31 - 1),
+    system=st.sampled_from(sorted(SYSTEMS)),
+)
+def test_unrolled_features_match_arc_set_rescan(n, seed, system):
+    """At every step of a random tree's derivation, the recorded template
+    tokens and label ids equal a rescan of the replayed configuration's arc
+    set, ``featurize`` reads the same rows, and the replay rebuilds the gold
+    tree."""
+    system = SYSTEMS[system]
+    rng = np.random.default_rng(seed)
+    labels = Vocab(["root", "nsubj", "obj", "amod", "nmod"])
+    tags = Vocab(["NOUN", "VERB", "ADJ"])
+    s = make_sentence(
+        random_tree(n, rng),
+        tags=[tags.class_string(int(rng.integers(tags.n_classes))) for _ in range(n)],
+    )
+    for t in s.tokens:
+        if t.gold_head:
+            t.gold_deprel = labels.class_string(int(rng.integers(1, labels.n_classes)))
+    if not system.swap:
+        s = projectivize(s)
+    d = unroll(s, system, labels, tags)
+    c = initial(s)
+    for step, (tokens, labs, a) in enumerate(d.steps):
+        assert (tokens, labs) == reference_features(c.stack, c.buffer, c.arcs), step
+        assert feature_tokens(c) == tokens
+        rows, row_labels = featurize([c], [5])
+        assert rows.tolist() == [[t + 4 if t > 0 else -1 for t in tokens]]
+        assert row_labels.tolist() == [labs]
+        assert apply(c, a, system) is c
+    assert is_terminal(c)
+    assert c.arcs == gold_arc_set(s, labels)
+    assert replay(s, d.actions(), system).arcs == c.arcs
+    if system.joint:
+        assert c.tags == {t.index: tags.id_of(t.gold_upos) for t in s.tokens}
+
+
+def test_long_sentences_take_linear_time():
+    """An 800-token flat tree (one head with 799 dependents) and a 1000-token
+    right-branching chain unroll, and the chain decodes greedily at
+    criterion-6 dims, each within a second."""
+    from stackprop.model import ParserNetworkConfig, build_model
+    from stackprop.parser import parse_sentence
+    from stackprop.tagger import TaggerConfig
+
+    labels = Vocab(["root", "dep"])
+    flat = make_sentence([0] + [1] * 799)
+    chain = make_sentence(list(range(1000)), forms=[f"w{i % 50}" for i in range(1000)])
+    for s in (flat, chain):
+        t0 = time.perf_counter()
+        d = unroll(s, STD, labels)
+        elapsed = time.perf_counter() - t0
+        assert len(d) == 2 * len(s)
+        assert elapsed < 1.0, (len(s), elapsed)
+    m = build_model(
+        "stackprop", [chain],
+        TaggerConfig(hidden=32, d_symbols=4, d_caps=4, d_affix=8, d_words=16),
+        ParserNetworkConfig(hidden=64, d_implicit=16, d_label=8, d_word=16),
+        seed=0,
+    )
+    t0 = time.perf_counter()
+    parsed = parse_sentence(chain, m, averaged=False)
+    elapsed = time.perf_counter() - t0
+    assert sum(t.pred_head == 0 for t in parsed.tokens) == 1
+    assert elapsed < 1.0, elapsed
