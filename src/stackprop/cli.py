@@ -22,7 +22,6 @@ import numpy as np
 from stackprop import corpus as corpus_mod
 from stackprop import evaluator, model as model_mod, parser as parser_mod, trainer
 from stackprop.corpus import Sentence, parse_conllu
-from stackprop.tagger import tag_sentence
 from stackprop.errors import (
     ConfigError,
     CorpusError,
@@ -167,13 +166,18 @@ def load_corpus(path: str) -> list[Sentence]:
 
 
 def iter_conllu_blocks(stream: TextIO) -> Iterator[Sentence]:
-    """Stream sentences one block at a time (bounded memory)."""
+    """Stream sentences one block at a time (bounded memory). A sentence
+    without ``# sent_id`` is named by its position in the stream, as
+    ``load_corpus`` names it by its position in the file."""
     lines: list[str] = []
+    n = 0
     for line in itertools.chain(stream, [""]):  # the empty line ends the last block
         if line.strip():
             lines.append(line)
         elif lines:
-            yield from parse_conllu("".join(lines))
+            block = parse_conllu("".join(lines), first_id=n + 1)
+            n += len(block)
+            yield from block
             lines = []
 
 
@@ -258,29 +262,10 @@ def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
                     total_forms += 1
                     oov += t.form.lower() not in m.forms
             hidden: list[np.ndarray] = []  # the tagger rows each sentence was annotated from
-            if tag_only:
-                parsed = []
-                for s in chunk:
-                    pred, acts = tag_sentence(s, m.tagger, m.tvocabs, m.tags)
-                    stats.sentences += 1
-                    stats.tokens += len(s)
-                    stats.tagger_evals += len(s)
-                    parsed.append(
-                        Sentence(
-                            [
-                                replace(t, pred_upos=pred[t.index - 1],
-                                        pred_head=t.gold_head, pred_deprel=t.gold_deprel)
-                                for t in s.tokens
-                            ],
-                            id=s.id,
-                        )
-                    )
-                    hidden.append(acts.hidden)
-            else:
-                parsed, chunk_stats = parser_mod.parse_corpus(
-                    chunk, m, threads=args.threads, activations=hidden
-                )
-                stats.add(chunk_stats)
+            parsed, chunk_stats = parser_mod.parse_corpus(
+                chunk, m, threads=args.threads, activations=hidden, tag_only=tag_only
+            )
+            stats.add(chunk_stats)
             if acts_out:
                 for s, h in zip(chunk, hidden):
                     _dump_activations(acts_out, s, h)

@@ -116,11 +116,12 @@ class Vocab:
         return isinstance(other, Vocab) and self._strings == other._strings
 
 
-def parse_conllu(text: str) -> list[Sentence]:
+def parse_conllu(text: str, first_id: int = 1) -> list[Sentence]:
     """Parse CoNLL-U text into validated sentences.
 
     Multiword-token ranges ("3-4") and empty nodes ("5.1") are skipped;
-    comment lines are ignored except that ``# sent_id`` names the sentence.
+    comment lines are ignored except that ``# sent_id`` names the sentence
+    (one without it is named by its position, counting from ``first_id``).
     Each sentence's gold heads must form a single tree under the artificial
     root.
     """
@@ -133,7 +134,7 @@ def parse_conllu(text: str) -> list[Sentence]:
         if not tokens:
             sent_id = None
             return
-        sid = sent_id if sent_id is not None else str(len(sentences) + 1)
+        sid = sent_id if sent_id is not None else str(first_id + len(sentences))
         sent = Sentence(tokens, id=sid)
         validate_tree(sent)
         sentences.append(sent)

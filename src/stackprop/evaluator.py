@@ -14,7 +14,7 @@ from scipy.stats import t as student_t
 from stackprop.corpus import Sentence
 from stackprop.errors import StackpropError
 from stackprop.model import StackedModel
-from stackprop.tagger import tag_sentence
+from stackprop.tagger import tag_sentences
 
 
 @dataclass
@@ -181,8 +181,8 @@ def nearest_neighbors(
     qi, qj = query
     vectors = []
     keys = []
-    for si, sent in enumerate(corpus):
-        _, acts = tag_sentence(sent, model.tagger, model.tvocabs, model.tags)
+    tagged = tag_sentences(corpus, model.tagger, model.tvocabs, model.tags)
+    for si, (sent, (_, acts)) in enumerate(zip(corpus, tagged)):
         for tj in range(1, len(sent) + 1):
             vectors.append(acts.hidden[tj - 1])
             keys.append((si, tj))

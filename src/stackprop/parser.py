@@ -3,9 +3,10 @@
 Feature templates (``transition.featurize``) index tokens in the
 configuration; the selected tokens' tagger activations form the parser's
 dense input group (discrete label ids of already-built arcs form the other).
-Decoding computes tagger activations once per sentence and re-indexes the
-cached rows at every step. Sentences are decoded in lockstep groups: each
-step scores every live configuration of the group with one parser forward.
+Sentences are decoded in lockstep groups. Each group's tagger features are
+encoded once and its tagger activations computed once per sentence; every
+step re-indexes those cached rows and scores every live configuration of the
+group with one parser forward.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from stackprop.corpus import NULL_ID, Sentence
 from stackprop.errors import StackpropError
 from stackprop.model import StackedModel
 from stackprop.nnkernel import DTYPE, forward_batch
-from stackprop.tagger import TaggerActivations, tag_sentence
+from stackprop.tagger import TaggerActivations, tag_sentences
 from stackprop.transition import NULL_TOKEN, ParserConfiguration, apply, featurize, initial
 from stackprop.transition import feature_tokens, is_terminal, label_features  # noqa: F401
 
@@ -108,18 +109,18 @@ def _decode(
     averaged: bool,
     fill_tags: Optional[bool],
     stats: Optional[ParseStats],
+    tag_only: bool = False,
 ) -> tuple[list[Sentence], list[np.ndarray]]:
-    """Greedy lockstep decode of a group of sentences: one tagger pass per
-    sentence, then at every step one parser forward over all configurations
-    still live; each applies its best legal action, and a configuration is
-    retired once terminal. Returns the parsed sentences and each one's
-    tagger hidden rows."""
+    """Greedy lockstep decode of a group of sentences: one tagger encoding of
+    the group and one tagger pass per sentence, then at every step one parser
+    forward over all configurations still live; each applies its best legal
+    action, and a configuration is retired once terminal. Returns the parsed
+    sentences and each one's tagger hidden rows. ``tag_only`` stops after
+    tagging: each sentence gets the tagger's tags and keeps its input heads
+    and labels."""
     if any(len(s) == 0 for s in sentences):
         raise StackpropError("cannot parse an empty sentence")
-    tagged = [
-        tag_sentence(s, model.tagger, model.tvocabs, model.tags, averaged=averaged)
-        for s in sentences
-    ]
+    tagged = tag_sentences(sentences, model.tagger, model.tvocabs, model.tags, averaged)
     acts = TaggerActivations(
         np.concatenate([a.hidden for _, a in tagged]),
         np.concatenate([a.probs for _, a in tagged]),
@@ -128,7 +129,7 @@ def _decode(
     bases = np.cumsum([0] + [len(s) for s in sentences[:-1]]).tolist()
     params = model.parser.inference_params(averaged)
     configs = [initial(s) for s in sentences]
-    live = list(range(len(sentences)))
+    live = [] if tag_only else list(range(len(sentences)))
     n_steps = n_batches = 0
     while live:
         logits = score_actions(
@@ -152,6 +153,10 @@ def _decode(
         tokens = []
         for t in sentence.tokens:
             pred_upos = t.pred_upos
+            if tag_only:
+                tokens.append(replace(t, pred_upos=pred_tags[t.index - 1],
+                                      pred_head=t.gold_head, pred_deprel=t.gold_deprel))
+                continue
             if model.system.joint:
                 pred_upos = model.tags.string_of(c.tags[t.index])
             elif fill_tags:
@@ -194,13 +199,15 @@ def parse_corpus(
     averaged: bool = True,
     fill_tags: Optional[bool] = None,
     activations: Optional[list[np.ndarray]] = None,
+    tag_only: bool = False,
 ) -> tuple[list[Sentence], ParseStats]:
     """Parse a corpus in lockstep groups of consecutive sentences
     (``LOCKSTEP_SENTENCES`` each), mapped over a thread pool when
     ``threads > 1``. The groups do not depend on the thread count, and the
     output order matches the input order. When ``activations`` is a list,
     each sentence's (n, H) tagger hidden rows, computed for decoding, are
-    appended to it in input order."""
+    appended to it in input order. ``tag_only`` tags without parsing (see
+    ``_decode``)."""
     t0 = time.perf_counter()
     groups = [
         sentences[i : i + LOCKSTEP_SENTENCES]
@@ -209,7 +216,7 @@ def parse_corpus(
 
     def work(group: list[Sentence]) -> tuple[list[Sentence], list[np.ndarray], ParseStats]:
         local = ParseStats()
-        return (*_decode(group, model, averaged, fill_tags, local), local)
+        return (*_decode(group, model, averaged, fill_tags, local, tag_only), local)
 
     if threads <= 1:
         results = [work(g) for g in groups]

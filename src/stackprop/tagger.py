@@ -108,27 +108,36 @@ def tagger_groups(vocabs: TaggerVocabs, cfg: TaggerConfig) -> list[FeatureGroupS
     ]
 
 
-def _windows(ids: list[int], radius: int) -> np.ndarray:
-    """(n, 2 * radius + 1): row j holds the ids of tokens j - radius .. j + radius."""
-    padded = np.array([NULL_ID] * radius + ids + [NULL_ID] * radius, dtype=np.int64)
-    return np.stack([padded[k : k + len(ids)] for k in range(2 * radius + 1)], axis=1)
+def encode_sentence(sentences: list[Sentence], vocabs: TaggerVocabs) -> dict[str, np.ndarray]:
+    """Feature ids of every token of a batch of sentences, group -> (N, F),
+    rows in token order.
 
-
-def encode_sentence(sentence: Sentence, vocabs: TaggerVocabs) -> dict[str, np.ndarray]:
-    """Feature ids of every token of one sentence, group -> (n, F).
-
-    Each token's values are computed once and then cut into windows; window
-    positions outside the sentence hold NULL_ID.
+    Each distinct form's values are computed once; each group's windows are
+    then cut once over the whole batch, with NULL_ID at window positions
+    outside the token's own sentence.
     """
-    forms = [t.form for t in sentence.tokens]
-    lows = [form.lower() for form in forms]
-    out = {
-        "symbols": np.array([symbol_flags(form) for form in forms], dtype=np.int64),
-        "caps": _windows([cap_shape(form) for form in forms], SHAPE_WINDOW),
-    }
+    distinct: dict[str, int] = {}
+    inverse = np.array(
+        [distinct.setdefault(t.form, len(distinct)) for s in sentences for t in s.tokens],
+        dtype=np.int64,
+    )
+    lows = [form.lower() for form in distinct]
+    values = {"caps": [cap_shape(form) for form in distinct]}
     for name, cut in AFFIXES.items():
-        out[name] = _windows([vocabs.affixes[name].id_of(cut(low)) for low in lows], SHAPE_WINDOW)
-    out["words"] = _windows([vocabs.words.id_of(low) for low in lows], WORD_WINDOW)
+        values[name] = [vocabs.affixes[name].id_of(cut(low)) for low in lows]
+    values["words"] = [vocabs.words.id_of(low) for low in lows]
+    symbols = np.array([symbol_flags(form) for form in distinct], dtype=np.int64).reshape(-1, 3)
+    # WORD_WINDOW NULL slots before every sentence and after the last keep
+    # every window inside its token's sentence
+    sentence_of = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+    slots = np.arange(len(inverse)) + WORD_WINDOW * (sentence_of + 1)
+    n_slots = len(inverse) + WORD_WINDOW * (len(sentences) + 1)
+    out = {"symbols": symbols[inverse]}
+    for name, per_form in values.items():
+        radius = WORD_WINDOW if name == "words" else SHAPE_WINDOW
+        padded = np.full(n_slots, NULL_ID, dtype=np.int64)
+        padded[slots] = np.array(per_form, dtype=np.int64)[inverse]
+        out[name] = padded[slots[:, None] + np.arange(-radius, radius + 1)]
     return out
 
 
@@ -138,18 +147,39 @@ def tag_sentence(
     vocabs: TaggerVocabs,
     tags: Vocab,
     averaged: bool = True,
+    inputs: Optional[dict[str, np.ndarray]] = None,
 ) -> tuple[list[str], TaggerActivations]:
     """Predicted tag strings plus the activations the parser reads: hidden
     rows, tag distributions and word ids.
 
-    One network evaluation per token; argmax ties break toward the lowest
-    tag id.
+    One network evaluation per token, over ``inputs`` (the sentence's rows
+    of an ``encode_sentence`` batch; encoded here when absent); argmax ties
+    break toward the lowest tag id.
     """
-    inputs = encode_sentence(sentence, vocabs)
+    if inputs is None:
+        inputs = encode_sentence([sentence], vocabs)
     cache = forward_batch(net, inputs, net.inference_params(averaged))
     probs = softmax_batch(cache.logits)
     pred = [tags.class_string(int(k)) for k in probs.argmax(axis=1)]
     return pred, TaggerActivations(cache.h1, probs, inputs["words"][:, WORD_WINDOW])
+
+
+def tag_sentences(
+    sentences: list[Sentence],
+    net: Network,
+    vocabs: TaggerVocabs,
+    tags: Vocab,
+    averaged: bool = True,
+) -> list[tuple[list[str], TaggerActivations]]:
+    """``tag_sentence`` of each sentence, from one ``encode_sentence`` of the
+    batch. The network runs per sentence, so every hidden row is bitwise the
+    one a lone sentence gets (BLAS may round a different row count apart)."""
+    inputs = encode_sentence(sentences, vocabs)
+    bounds = np.cumsum([0] + [len(s) for s in sentences]).tolist()
+    return [
+        tag_sentence(s, net, vocabs, tags, averaged, {k: v[lo:hi] for k, v in inputs.items()})
+        for s, lo, hi in zip(sentences, bounds, bounds[1:])
+    ]
 
 
 def load_pretrained_embeddings(path: str, vocab: Vocab, matrix: np.ndarray) -> tuple[int, int]:

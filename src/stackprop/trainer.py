@@ -49,7 +49,7 @@ from stackprop.tagger import (
     TaggerConfig,
     encode_sentence,
     load_pretrained_embeddings,
-    tag_sentence,
+    tag_sentences,
 )
 from stackprop.transition import template_rows, unroll
 
@@ -119,8 +119,6 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
             s = projectivize(s)
         prepared.append(s)
 
-    tag_inputs = {name: [] for name in GROUP_ORDER}
-    tag_gold: list[int] = []
     offsets = [0]
     steps: list[tuple] = []
     step_bases: list[int] = []
@@ -135,10 +133,6 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
             continue
         kept.append(s)
         base = offsets[-1]
-        enc = encode_sentence(s, model.tvocabs)
-        for name in GROUP_ORDER:
-            tag_inputs[name].append(enc[name])
-        tag_gold.extend(model.tags.class_index(t.gold_upos) for t in s.tokens)
         offsets.append(base + len(s))
         steps += deriv.steps
         step_bases += [base] * len(deriv)
@@ -147,8 +141,10 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
     tokens, labels, actions = zip(*steps)
     return EncodedCorpus(
         sentences=kept,
-        tag_inputs={k: np.concatenate(v) for k, v in tag_inputs.items()},
-        tag_gold=np.array(tag_gold, dtype=np.int64),
+        tag_inputs=encode_sentence(kept, model.tvocabs),
+        tag_gold=np.array(
+            [model.tags.class_index(t.gold_upos) for s in kept for t in s.tokens], dtype=np.int64
+        ),
         offsets=np.array(offsets, dtype=np.int64),
         deriv_tokens=template_rows(tokens, step_bases),
         deriv_labels=np.array(labels, dtype=np.int64),
@@ -485,10 +481,8 @@ def jackknife_tags(
             dtype=np.int64,
         )
         known = class_map >= 0
-        for j, sent in enumerate(held_out, start=lo):
-            pred, acts = tag_sentence(
-                sent, fold_model.tagger, fold_model.tvocabs, fold_model.tags, averaged=True
-            )
+        tagged = tag_sentences(held_out, fold_model.tagger, fold_model.tvocabs, fold_model.tags)
+        for j, sent, (pred, acts) in zip(range(lo, hi), held_out, tagged):
             row0 = offsets[j]
             dists[row0 : row0 + len(sent)][:, class_map[known]] = acts.probs[:, known]
             annotated[j] = Sentence(

@@ -60,14 +60,16 @@ def test_tracer_wraps_every_target_and_restores():
         assert cls.__dict__[attr] is original
 
 
-def test_tracer_reaches_every_transition_and_feature_span():
+def test_tracer_reaches_every_transition_and_feature_span(monkeypatch):
     """Traced encoding and decoding reach the feature, apply, unroll and
     oracle spans the per-layer split is built from, once per configuration
-    featurized or action applied."""
+    featurized or action applied, and the tagger encoder once per encode
+    call and once per lockstep group."""
     spans = load_spans()
     corpus = generate_corpus(6, seed=3, p_nonproj=0.3)
     s = tiny_settings()
     m = build_model(STACKPROP, corpus, s.tagger_cfg, s.parser_cfg)
+    monkeypatch.setattr(parser_mod, "LOCKSTEP_SENTENCES", 4)  # two groups: 4 + 2
     tracer = spans.Tracer()
     with tracer:
         with tracer.phase("run"):
@@ -82,7 +84,10 @@ def test_tracer_reaches_every_transition_and_feature_span():
     assert counts["transition.apply"] == steps + stats.parser_evals
     # feature_tokens and label_features per configuration, one gather per forward
     assert counts["parser.feature"] == 2 * (steps + stats.parser_evals) + stats.parser_batches
+    assert counts["tagger.encode_sentence"] == 1 + 2
+    assert counts["tagger.tag_sentence"] == len(corpus)
     metrics = spans.layer_metrics(tracer.spans)
-    for name in ("parser.feature_s", "transition.apply_s", "transition.unroll_s", "trainer.encode_s"):
+    for name in ("parser.feature_s", "transition.apply_s", "transition.unroll_s",
+                 "trainer.encode_s", "tagger.encode_sentence_s", "tagger.tag_sentence_s"):
         assert metrics[name] > 0, name
     assert metrics["transition.oracle_calls"] == steps

@@ -7,7 +7,15 @@ import os
 import pytest
 
 from stackprop import trainer
-from stackprop.cli import SETTING_FIELDS, TRAIN_DEFAULTS, main, settings_field, settings_from_config
+from stackprop.cli import (
+    SETTING_FIELDS,
+    TRAIN_DEFAULTS,
+    iter_conllu_blocks,
+    load_corpus,
+    main,
+    settings_field,
+    settings_from_config,
+)
 from stackprop.corpus import emit_conllu, parse_conllu
 from stackprop.synthetic import generate_corpus
 
@@ -165,6 +173,56 @@ def test_emit_activations_tags_each_token_once(trained_model, workdir, monkeypat
     assert sum(rows) == sum(len(s) for s in sentences)
     dumped = acts.read_text().strip().split("\n")
     assert [line.split("\t", 1)[1] for line in dumped] == expected
+
+
+def test_emit_activations_numbers_streamed_sentences(trained_model, workdir):
+    """A streamed sentence without ``# sent_id`` is named by its position in
+    the stream, as ``load_corpus`` names it by its position in the file."""
+    text = emit_conllu(generate_corpus(30, seed=52))
+    assert "sent_id" not in text
+    (workdir / "unnamed.conllu").write_text(text, encoding="utf-8")
+    acts = workdir / "unnamed_acts.tsv"
+    rc = main(["parse", "--model", str(trained_model), "--input",
+               str(workdir / "unnamed.conllu"), "--output", os.devnull,
+               "--emit-activations", str(acts)])
+    assert rc == 0
+    ids = [line.split("\t", 1)[0] for line in acts.read_text().strip().split("\n")]
+    assert sorted(set(ids), key=int) == [str(i) for i in range(1, 31)]
+    assert ids == sorted(ids, key=int)
+
+    # an explicit sent_id is kept and still counts toward the positions
+    named = text.replace("1\t", "# sent_id = first\n1\t", 1)
+    with open(workdir / "named.conllu", "w", encoding="utf-8") as f:
+        f.write(named)
+    with open(workdir / "named.conllu", encoding="utf-8") as f:
+        streamed = [s.id for s in iter_conllu_blocks(f)]
+    assert streamed == [s.id for s in load_corpus(str(workdir / "named.conllu"))]
+    assert streamed == ["first"] + [str(i) for i in range(2, 31)]
+
+
+def test_tag_and_parse_dump_identical_activations(trained_model, workdir):
+    """``tag`` reads tokens through the same batch encoding and per-sentence
+    tagger pass as ``parse``: both dump the same rows, and ``tag`` keeps the
+    input heads."""
+    text = emit_conllu(generate_corpus(70, seed=53))  # more than one lockstep group
+    (workdir / "both.conllu").write_text(text, encoding="utf-8")
+    dumps, outputs = {}, {}
+    for command in ("tag", "parse"):
+        acts = workdir / f"{command}_acts.tsv"
+        out = workdir / f"{command}_out.conllu"
+        rc = main([command, "--model", str(trained_model), "--input",
+                   str(workdir / "both.conllu"), "--output", str(out),
+                   "--emit-activations", str(acts)])
+        assert rc == 0
+        dumps[command] = acts.read_text()
+        outputs[command] = parse_conllu(out.read_text())
+    assert dumps["tag"] == dumps["parse"]
+    assert dumps["tag"].count("\n") == sum(len(s) for s in outputs["tag"])
+    gold = parse_conllu(text)
+    assert [s.id for s in outputs["tag"]] == [s.id for s in outputs["parse"]]
+    for tagged, g in zip(outputs["tag"], gold):
+        assert [t.gold_head for t in tagged.tokens] == [t.gold_head for t in g.tokens]
+        assert [t.gold_deprel for t in tagged.tokens] == [t.gold_deprel for t in g.tokens]
 
 
 def test_eval_identical_files(workdir, capsys):

@@ -20,6 +20,7 @@ from stackprop.tagger import (
     load_pretrained_embeddings,
     symbol_flags,
     tag_sentence,
+    tag_sentences,
     tagger_groups,
 )
 
@@ -43,7 +44,7 @@ def test_cap_shape_values():
 
 def token_ids(sentence, j, tv):
     """Feature ids of token ``j`` (1-based), group -> (F,)."""
-    return {name: ids[j - 1] for name, ids in encode_sentence(sentence, tv).items()}
+    return {name: ids[j - 1] for name, ids in encode_sentence([sentence], tv).items()}
 
 
 def test_affixes_short_tokens_use_whole_form():
@@ -214,14 +215,18 @@ def reference_ids(sentence, j, tv):
 
 
 def test_encode_sentence_stacks_per_token():
+    """A batch's rows are its sentences' tokens in order, and no window
+    reaches across a sentence boundary."""
+    other = make_sentence([0, 1], forms=["Fish", "ate"])
     net, tv, _ = make_net([I_ATE_FISH])
-    enc = encode_sentence(I_ATE_FISH, tv)
+    enc = encode_sentence([I_ATE_FISH, other, I_ATE_FISH], tv)
     assert list(enc) == list(GROUP_ORDER)
-    for j in (1, 2, 3):
-        ref = reference_ids(I_ATE_FISH, j, tv)
+    rows = [(s, j) for s in (I_ATE_FISH, other, I_ATE_FISH) for j in range(1, len(s) + 1)]
+    for row, (s, j) in enumerate(rows):
+        ref = reference_ids(s, j, tv)
         for name in GROUP_ORDER:
-            assert enc[name].shape[0] == 3
-            assert list(enc[name][j - 1]) == ref[name]
+            assert enc[name].shape[0] == 8
+            assert list(enc[name][row]) == ref[name]
 
 
 # forms that stress casing, affix cuts and the symbol flags: one character,
@@ -235,25 +240,92 @@ FORM = st.one_of(
 )
 
 
+SENTENCE_FORMS = st.lists(st.lists(FORM, min_size=1, max_size=12), min_size=1, max_size=4)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    forms=st.lists(FORM, min_size=1, max_size=12),
-    known=st.lists(st.booleans(), min_size=12, max_size=12),
-)
+@given(forms=SENTENCE_FORMS, known=st.lists(st.booleans(), min_size=12, max_size=12))
 def test_encode_sentence_matches_per_token_windows(forms, known):
-    """One pass per sentence gives every token's per-position window ids,
+    """One pass over a batch gives every token's per-position window ids,
     and the tagger's word ids are the form vocabulary ids of its tokens."""
-    sent = make_sentence([0] * len(forms), forms=forms)
-    train_forms = [f for f, keep in zip(forms, known) if keep] or ["other"]
+    sents = [make_sentence([0] * len(f), forms=f) for f in forms]
+    train_forms = [f for f, keep in zip(forms[0], known) if keep] or ["other"]
     net, tv, tags = make_net([make_sentence([0] * len(train_forms), forms=train_forms)])
-    enc = encode_sentence(sent, tv)
-    for j in range(1, len(forms) + 1):
+    enc = encode_sentence(sents, tv)
+    rows = [(s, j) for s in sents for j in range(1, len(s) + 1)]
+    for row, (sent, j) in enumerate(rows):
         ref = reference_ids(sent, j, tv)
         for name in GROUP_ORDER:
             assert enc[name].dtype == np.int64
-            assert list(enc[name][j - 1]) == ref[name], (name, j)
-    words = tag_sentence(sent, net, tv, tags)[1].words
-    assert list(words) == [tv.words.id_of(f.lower()) for f in forms]
+            assert enc[name].shape[0] == len(rows)
+            assert list(enc[name][row]) == ref[name], (name, row)
+    for sent, (_, acts) in zip(sents, tag_sentences(sents, net, tv, tags)):
+        assert list(acts.words) == [tv.words.id_of(t.form.lower()) for t in sent.tokens]
+
+
+def per_sentence_encoding(sentence, vocabs):
+    """The per-sentence encoder the batch one replaced: each token's values,
+    then one ``np.stack`` of 2r + 1 shifted slices per group."""
+
+    def windows(ids, radius):
+        padded = np.array([NULL_ID] * radius + ids + [NULL_ID] * radius, dtype=np.int64)
+        return np.stack([padded[k : k + len(ids)] for k in range(2 * radius + 1)], axis=1)
+
+    forms = [t.form for t in sentence.tokens]
+    lows = [form.lower() for form in forms]
+    out = {
+        "symbols": np.array([symbol_flags(form) for form in forms], dtype=np.int64),
+        "caps": windows([cap_shape(form) for form in forms], 1),
+    }
+    for name, cut in AFFIXES.items():
+        out[name] = windows([vocabs.affixes[name].id_of(cut(low)) for low in lows], 1)
+    out["words"] = windows([vocabs.words.id_of(low) for low in lows], 3)
+    return out
+
+
+# forms built to repeat: case variants, digits, hyphens and Unicode punctuation
+VARIANT_FORM = st.builds(
+    lambda stem, case, mark: case(stem) + mark,
+    st.sampled_from(["fish", "ate", "re-enter", "x1", "İstanbul", "ǅemal", "ß"]),
+    st.sampled_from([str, str.upper, str.title, str.swapcase]),
+    st.sampled_from(["", "-", "7", "\u2014", "\u00bf", "\u300c", "\u2026", "'s"]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    forms=st.lists(
+        st.lists(st.one_of(VARIANT_FORM, FORM), min_size=1, max_size=11), min_size=1, max_size=6
+    ),
+    vocab_share=st.integers(0, 3),
+)
+def test_batch_encoding_matches_per_sentence_encoding(forms, vocab_share):
+    """The batch encoder's rows equal the per-sentence encoder's, sentence
+    after sentence: one-token sentences, sentences longer than the word
+    window, repeated and case-variant forms, and forms outside the
+    vocabularies (only every ``vocab_share``-th sentence builds them)."""
+    sents = [make_sentence([0] * len(f), forms=f) for f in forms]
+    vocab_sents = sents[::vocab_share] if vocab_share else [make_sentence([0], forms=["other"])]
+    tv, _ = build(vocab_sents)
+    enc = encode_sentence(sents, tv)
+    expected = [per_sentence_encoding(s, tv) for s in sents]
+    for name in GROUP_ORDER:
+        want = np.concatenate([e[name] for e in expected])
+        assert enc[name].dtype == want.dtype and enc[name].flags.c_contiguous
+        assert np.array_equal(enc[name], want), name
+
+
+def test_tag_sentences_equals_tagging_each_sentence_alone():
+    """One batch encoding with a tagger pass per sentence gives bitwise the
+    tags and activations of tagging each sentence on its own."""
+    sents = [I_ATE_FISH, make_sentence([0], forms=["Fish"]),
+             make_sentence([0] + [1] * 8, forms=[f"w{i}" for i in range(9)])]
+    net, tv, tags = make_net(sents)
+    for sent, (pred, acts) in zip(sents, tag_sentences(sents, net, tv, tags, averaged=False)):
+        alone_pred, alone = tag_sentence(sent, net, tv, tags, averaged=False)
+        assert pred == alone_pred
+        for field in ("hidden", "probs", "words"):
+            assert np.array_equal(getattr(acts, field), getattr(alone, field)), field
 
 
 def test_pretrained_embedding_loading(tmp_path):
