@@ -98,7 +98,11 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _coerce(value, template):
+def _coerce(key: str, value):
+    """``value`` as the type of ``key``'s default, or a ConfigError. A value
+    is read from its text, so a manifest's JSON value converts as the same
+    text in a config file would (``16.5`` is no int)."""
+    template = TRAIN_DEFAULTS[key]
     if isinstance(template, bool):
         if isinstance(value, bool):
             return value
@@ -106,25 +110,29 @@ def _coerce(value, template):
             return True
         if str(value).lower() in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"bad boolean value {value!r}")
-    if isinstance(template, int):
-        return int(value)
-    if isinstance(template, float):
-        return float(value)
-    return str(value)
+    else:
+        try:
+            return type(template)(str(value))
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"bad {type(template).__name__} value {value!r} for {key}")
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < ``--config`` file < explicit CLI flags."""
+def resolve_config(args: argparse.Namespace, file_layer: Optional[dict] = None) -> dict:
+    """defaults < file layer < explicit CLI flags. The file layer is
+    ``file_layer`` when given (a replayed manifest's config), else the
+    ``--config`` file."""
+    if file_layer is None:
+        file_layer = read_config_file(args.config) if args.config else {}
     resolved = dict(TRAIN_DEFAULTS)
-    for key, raw in (read_config_file(args.config) if args.config else {}).items():
+    for key, raw in file_layer.items():
         if key not in resolved:
             raise ConfigError(f"unknown config key {key!r}")
-        resolved[key] = _coerce(raw, TRAIN_DEFAULTS[key])
+        resolved[key] = _coerce(key, raw)
     for key in resolved:
         cli = getattr(args, key, None)
         if cli is not None:
-            resolved[key] = _coerce(cli, TRAIN_DEFAULTS[key])
+            resolved[key] = _coerce(key, cli)
     if resolved["mode"] not in MODES:
         raise ConfigError(f"unknown mode {resolved['mode']!r}")
     return resolved
@@ -186,15 +194,20 @@ def iter_conllu_blocks(stream: TextIO) -> Iterator[Sentence]:
 
 def cmd_train(args: argparse.Namespace) -> int:
     if args.replay:
+        if args.config:
+            raise ConfigError("--replay takes its config from the manifest, not --config")
         try:
             with open(args.replay, encoding="utf-8") as f:
                 manifest = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read manifest {args.replay}: {e}")
-        cfg = dict(TRAIN_DEFAULTS)
-        cfg.update(manifest["config"])
-        train_path = args.train or manifest["inputs"]["train"]["path"]
-        dev_path = args.dev or manifest["inputs"].get("dev", {}).get("path")
+        try:
+            config, inputs = dict(manifest["config"]), manifest["inputs"]
+            train_path = args.train or inputs["train"]["path"]
+            dev_path = args.dev or inputs.get("dev", {}).get("path")
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise ConfigError(f"malformed manifest {args.replay}: {e!r}") from None
+        cfg = resolve_config(args, config)
     else:
         cfg = resolve_config(args)
         train_path, dev_path = args.train, args.dev
@@ -285,7 +298,7 @@ def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
             "proceeding with UNKNOWN mapping", 100 * oov / total_forms,
         )
     if stats.sentences and seconds > 0:
-        evals = stats.tagger_evals + stats.parser_evals
+        evals = stats.tokens + stats.parser_evals
         batching = (
             f", {stats.parser_evals / stats.parser_batches:.1f} configurations per parser forward"
             if stats.parser_batches else ""
@@ -366,9 +379,7 @@ def cmd_jackknife(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     settings = settings_from_config(cfg)
     sentences = load_corpus(args.train)
-    annotated, _, fold_models = trainer.jackknife_tags(
-        sentences, settings.jackknife_folds, settings, seed=cfg["seed"]
-    )
+    annotated, _, fold_models = trainer.jackknife_tags(sentences, settings, seed=cfg["seed"])
     if args.model_prefix:
         for i, fm in enumerate(fold_models):
             model_mod.save(fm, f"{args.model_prefix}.fold{i}.model")
@@ -490,7 +501,7 @@ def build_arg_parser() -> _Parser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--sentence", type=int, required=True, help="1-based sentence number")
     sp.add_argument("--token", type=int, required=True, help="1-based token index")
-    sp.add_argument("-k", type=int, default=3)
+    sp.add_argument("-k", type=positive_int, default=3, help="neighbours to print (at least 1)")
     sp.set_defaults(func=cmd_neighbors)
 
     sp = sub.add_parser("inspect-model", help="print model metadata")

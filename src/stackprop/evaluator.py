@@ -178,19 +178,13 @@ def nearest_neighbors(
     """
     if not corpus:
         raise StackpropError("empty corpus")
-    qi, qj = query
-    vectors = []
-    keys = []
-    tagged = tag_sentences(corpus, model.tagger, model.tvocabs, model.tags)
-    for si, (sent, (_, acts)) in enumerate(zip(corpus, tagged)):
-        for tj in range(1, len(sent) + 1):
-            vectors.append(acts.hidden[tj - 1])
-            keys.append((si, tj))
-    mat = np.stack(vectors)
+    keys = [(si, tj) for si, sent in enumerate(corpus) for tj in range(1, len(sent) + 1)]
     try:
-        q_row = keys.index((qi, qj))
+        q_row = keys.index(query)
     except ValueError:
         raise StackpropError(f"query token {query} not in corpus")
+    _, acts = tag_sentences(corpus, model.tagger, model.tvocabs, model.tags)
+    mat = acts.hidden
     q = mat[q_row]
     norms = np.linalg.norm(mat, axis=1) * max(np.linalg.norm(q), 1e-12)
     norms = np.maximum(norms, 1e-12)

@@ -188,10 +188,9 @@ class Network:
             np.divide(self._avg[name], self.avg_count[name], out=self._avg[name])
         self._summed.clear()
 
-    def inference_params(self, averaged: bool = True) -> dict[str, np.ndarray]:
-        """Averaged parameters when averaging has begun, else the raw ones."""
-        if not averaged:
-            return self.params
+    def inference_params(self) -> dict[str, np.ndarray]:
+        """The parameters decoding reads: each block's average, or its raw
+        parameters while it has none."""
         return {
             k: (self._mean(k) if self.avg_count[k] > 0 else self.params[k])
             for k in self.block_names

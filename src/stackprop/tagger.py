@@ -4,8 +4,8 @@ Per-token features come from a small window around the target: character
 symbols on the target itself, capitalization shape and 2/3-character affixes
 at distance <= 1, and lowercased word forms at distance <= 3. Positions
 outside the sentence contribute the reserved NULL id. The tagger's hidden
-activations double as the parser's token representation, so ``tag_sentence``
-always returns them.
+activations double as the parser's token representation, so ``tag_sentences``
+always returns them, one row per token of the batch.
 """
 
 from __future__ import annotations
@@ -64,8 +64,10 @@ class TaggerVocabs:
 
 @dataclass
 class TaggerActivations:
+    """Per-token rows of a batch of sentences, in token order."""
+
     hidden: Optional[np.ndarray]  # (n_tokens, H); absent for jackknifed distributions
-    probs: Optional[np.ndarray]  # (n_tokens, n_tags)
+    probs: Optional[np.ndarray]  # (n_tokens, n_tags); absent while training a stacked parser
     words: np.ndarray  # (n_tokens,) centre column of the word window: lowercased-form ids
 
 
@@ -85,8 +87,8 @@ def cap_shape(form: str) -> int:
 def symbol_flags(form: str) -> tuple[int, int, int]:
     """(has-hyphen, has-digit, has-punctuation) indicator values."""
     has_hyphen = "-" in form
-    has_digit = any(ch.isdigit() for ch in form)
-    has_punct = any(unicodedata.category(ch).startswith("P") for ch in form)
+    has_digit = any(map(str.isdigit, form))
+    has_punct = any(unicodedata.category(ch)[0] == "P" for ch in form)
     return tuple(SYM_PRESENT if f else SYM_ABSENT for f in (has_hyphen, has_digit, has_punct))
 
 
@@ -142,44 +144,35 @@ def encode_sentence(sentences: list[Sentence], vocabs: TaggerVocabs) -> dict[str
 
 
 def tag_sentence(
-    sentence: Sentence,
-    net: Network,
-    vocabs: TaggerVocabs,
-    tags: Vocab,
-    averaged: bool = True,
-    inputs: Optional[dict[str, np.ndarray]] = None,
-) -> tuple[list[str], TaggerActivations]:
-    """Predicted tag strings plus the activations the parser reads: hidden
-    rows, tag distributions and word ids.
-
-    One network evaluation per token, over ``inputs`` (the sentence's rows
-    of an ``encode_sentence`` batch; encoded here when absent); argmax ties
-    break toward the lowest tag id.
-    """
-    if inputs is None:
-        inputs = encode_sentence([sentence], vocabs)
-    cache = forward_batch(net, inputs, net.inference_params(averaged))
+    inputs: dict[str, np.ndarray], net: Network, tags: Vocab
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Predicted tag strings, hidden rows and tag distributions of one
+    sentence, from its rows of an ``encode_sentence`` batch: one network
+    evaluation per token; argmax ties break toward the lowest tag id."""
+    cache = forward_batch(net, inputs, net.inference_params())
     probs = softmax_batch(cache.logits)
-    pred = [tags.class_string(int(k)) for k in probs.argmax(axis=1)]
-    return pred, TaggerActivations(cache.h1, probs, inputs["words"][:, WORD_WINDOW])
+    return [tags.class_string(int(k)) for k in probs.argmax(axis=1)], cache.h1, probs
 
 
 def tag_sentences(
-    sentences: list[Sentence],
-    net: Network,
-    vocabs: TaggerVocabs,
-    tags: Vocab,
-    averaged: bool = True,
-) -> list[tuple[list[str], TaggerActivations]]:
-    """``tag_sentence`` of each sentence, from one ``encode_sentence`` of the
-    batch. The network runs per sentence, so every hidden row is bitwise the
-    one a lone sentence gets (BLAS may round a different row count apart)."""
+    sentences: list[Sentence], net: Network, vocabs: TaggerVocabs, tags: Vocab
+) -> tuple[list[list[str]], TaggerActivations]:
+    """Each sentence's predicted tags, and the activations the parser reads
+    for the whole batch: hidden rows, tag distributions and word ids.
+
+    One ``encode_sentence`` of the batch, then ``tag_sentence`` per sentence,
+    so every hidden row is bitwise the one a lone sentence gets (BLAS may
+    round a different row count apart)."""
     inputs = encode_sentence(sentences, vocabs)
     bounds = np.cumsum([0] + [len(s) for s in sentences]).tolist()
-    return [
-        tag_sentence(s, net, vocabs, tags, averaged, {k: v[lo:hi] for k, v in inputs.items()})
-        for s, lo, hi in zip(sentences, bounds, bounds[1:])
-    ]
+    preds, hidden, probs = zip(*(
+        tag_sentence({k: v[lo:hi] for k, v in inputs.items()}, net, tags)
+        for lo, hi in zip(bounds, bounds[1:])
+    ))
+    acts = TaggerActivations(
+        np.concatenate(hidden), np.concatenate(probs), inputs["words"][:, WORD_WINDOW]
+    )
+    return list(preds), acts
 
 
 def load_pretrained_embeddings(path: str, vocab: Vocab, matrix: np.ndarray) -> tuple[int, int]:

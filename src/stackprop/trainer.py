@@ -41,7 +41,7 @@ from stackprop.nnkernel import (
     scatter_rows,
     softmax_xent_batch,
 )
-from stackprop.parser import parse_corpus, parser_input
+from stackprop.parser import parse_corpus, parser_input, token_tables
 from stackprop.tagger import (
     GROUP_ORDER,
     WORD_WINDOW,
@@ -95,7 +95,6 @@ class EncodedCorpus:
     sentences: list[Sentence]
     tag_inputs: dict[str, np.ndarray]
     tag_gold: np.ndarray
-    offsets: np.ndarray
     deriv_tokens: np.ndarray
     deriv_labels: np.ndarray
     deriv_gold: np.ndarray
@@ -119,10 +118,9 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
             s = projectivize(s)
         prepared.append(s)
 
-    offsets = [0]
+    base = skipped = 0
     steps: list[tuple] = []
     step_bases: list[int] = []
-    skipped = 0
     kept: list[Sentence] = []
     for s in prepared:
         try:
@@ -132,10 +130,9 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
             log.warning("skipping unrollable sentence: %s", e)
             continue
         kept.append(s)
-        base = offsets[-1]
-        offsets.append(base + len(s))
         steps += deriv.steps
         step_bases += [base] * len(deriv)
+        base += len(s)
     if not kept:
         raise StackpropError("no trainable sentences after unrolling")
     tokens, labels, actions = zip(*steps)
@@ -145,7 +142,6 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
         tag_gold=np.array(
             [model.tags.class_index(t.gold_upos) for s in kept for t in s.tokens], dtype=np.int64
         ),
-        offsets=np.array(offsets, dtype=np.int64),
         deriv_tokens=template_rows(tokens, step_bases),
         deriv_labels=np.array(labels, dtype=np.int64),
         deriv_gold=np.array([model.actions.encode(a) for a in actions], dtype=np.int64),
@@ -180,13 +176,13 @@ def parser_batch_update(
 ) -> float:
     """One PARSER update.
 
-    The batch's template tokens are reduced to their distinct rows. Without
-    ``train_dists`` (stacked modes) the tagger runs forward on those rows, the
-    parser reads its activations (and the learned null row), and the parsing
-    loss is backpropagated into the parser and into the tagger's
-    hidden/embedding blocks, skipping the tagger softmax. The pipeline passes
-    jackknifed tag distributions per token row instead and never touches the
-    tagger.
+    The batch's template tokens are reduced to their distinct rows. A stacked
+    variant runs the tagger forward on those rows, the parser reads its
+    activations (and the learned null row), and the parsing loss is
+    backpropagated into the parser and into the tagger's hidden/embedding
+    blocks, skipping the tagger softmax. The pipeline reads the jackknifed
+    tag distributions ``train_dists`` per token row instead and never
+    touches the tagger.
     """
     batch = len(idx)
     toks = data.deriv_tokens[idx]
@@ -195,29 +191,29 @@ def parser_batch_update(
     has_null = int(uniq[0] == -1)
     real_rows = uniq[has_null:]
     words = data.tag_inputs["words"][real_rows, WORD_WINDOW]
-    tcache = None
-    if train_dists is None:
+    stacked = model.variant.stacked
+    if stacked:
         tcache = forward_batch(
             model.tagger, {name: data.tag_inputs[name][real_rows] for name in GROUP_ORDER}
         )
         acts = TaggerActivations(tcache.h1, None, words)
+    elif train_dists is None:
+        raise StackpropError("a pipeline parser update needs jackknifed tag distributions")
     else:
         acts = TaggerActivations(None, train_dists[real_rows], words)
-    inputs = parser_input(
-        model, model.parser.params, (inv - has_null).reshape(toks.shape),
-        data.deriv_labels[idx], acts,
-    )
+    tables = token_tables(model, model.parser.params, acts)
+    inputs = parser_input(tables, (inv - has_null).reshape(toks.shape), data.deriv_labels[idx])
     cache = forward_batch(model.parser, inputs)
     _, losses, dlogits = softmax_xent_batch(cache.logits, gold)
     dlogits /= batch
     grads, dense_grads = backward_batch(model.parser, cache, dlogits)
-    if tcache is not None:
+    if stacked:
         h_tagger = model.tagger_cfg.hidden
         dx = dense_grads["implicit"].reshape(-1, h_tagger)
         acc = scatter_rows(inv, dx, uniq.size)
         grads["null_input"] = acc[0] if has_null else np.zeros(h_tagger, dtype=DTYPE)
     asgd_step(model.parser, grads, opt)
-    if tcache is not None:
+    if stacked:
         tgrads, _ = backward_from_hidden(model.tagger, tcache, acc[has_null:])
         scope = [b for b in model.tagger.block_names if b not in TAGGER_SOFTMAX_BLOCKS]
         asgd_step(model.tagger, tgrads, opt, scope=scope)
@@ -249,7 +245,7 @@ class _Stream:
 
 def _snapshot_inference(model: StackedModel) -> dict:
     return {
-        name: {k: v.copy() for k, v in net.inference_params(True).items()}
+        name: {k: v.copy() for k, v in net.inference_params().items()}
         for name, net in (("tagger", model.tagger), ("parser", model.parser))
     }
 
@@ -264,7 +260,7 @@ def _dev_scores(model: StackedModel, dev: list[Sentence]) -> tuple[float, float]
     # the averages are read once per sentence; settled, they are read in place
     model.tagger.settle_averages()
     model.parser.settle_averages()
-    parsed, _ = parse_corpus(dev, model, threads=1, averaged=True)
+    parsed, _ = parse_corpus(dev, model)
     report = attachment_scores(dev, parsed, include_punct=True)
     return report.uas, report.las
 
@@ -369,13 +365,12 @@ def train_tagger_only(
     epochs: int,
     opt: OptimizerConfig,
     rng: np.random.Generator,
-    lam: float = 1.0,
 ) -> None:
     stream = _Stream(data.n_tag_examples, rng)
     budget = epochs * data.n_tag_examples
     while budget > 0:
         b = min(opt.batch_size, budget)
-        tagger_batch_update(model, data, stream.take(b), opt, lam)
+        tagger_batch_update(model, data, stream.take(b), opt)
         budget -= b
     model.tagger.settle_averages()
 
@@ -440,21 +435,19 @@ def _maybe_load_embeddings(model: StackedModel, settings: TrainSettings) -> None
 
 def jackknife_tags(
     sentences: list[Sentence],
-    k: int,
     settings: TrainSettings,
     seed: int = 0,
     global_tags: Optional[Vocab] = None,
 ) -> tuple[list[Sentence], np.ndarray, list[StackedModel]]:
-    """Fill pred_upos on a corpus with k-fold jackknifed tags.
+    """Fill pred_upos on a corpus with k-fold jackknifed tags, k being
+    ``settings.jackknife_folds``.
 
     Each contiguous fold is tagged by a tagger trained only on the other
     folds (its own vocabularies included). Returns the annotated corpus, the
     per-token tag distributions mapped into ``global_tags`` class order, and
     the fold models.
     """
-    n = len(sentences)
-    if k < 2:
-        raise StackpropError("jackknifing needs k >= 2 folds")
+    n, k = len(sentences), settings.jackknife_folds
     if n < k:
         raise StackpropError(f"corpus of {n} sentences cannot be split into {k} folds")
     if global_tags is None:
@@ -466,8 +459,7 @@ def jackknife_tags(
     offsets = np.cumsum([0] + [len(s) for s in sentences])
     fold_models = []
     epochs = settings.schedule.tagger_pretrain_epochs + settings.schedule.tagger_epochs
-    for i in range(k):
-        lo, hi = bounds[i], bounds[i + 1]
+    for lo, hi in zip(bounds, bounds[1:]):
         held_out = sentences[lo:hi]
         rest = sentences[:lo] + sentences[hi:]
         fold_model, data = _fresh_model(STACKPROP, rest, settings, rng)
@@ -481,10 +473,11 @@ def jackknife_tags(
             dtype=np.int64,
         )
         known = class_map >= 0
-        tagged = tag_sentences(held_out, fold_model.tagger, fold_model.tvocabs, fold_model.tags)
-        for j, sent, (pred, acts) in zip(range(lo, hi), held_out, tagged):
-            row0 = offsets[j]
-            dists[row0 : row0 + len(sent)][:, class_map[known]] = acts.probs[:, known]
+        preds, acts = tag_sentences(
+            held_out, fold_model.tagger, fold_model.tvocabs, fold_model.tags
+        )
+        dists[offsets[lo] : offsets[hi], class_map[known]] = acts.probs[:, known]
+        for j, sent, pred in zip(range(lo, hi), held_out, preds):
             annotated[j] = Sentence(
                 [dc_replace(t, pred_upos=pred[t.index - 1]) for t in sent.tokens],
                 id=sent.id,
@@ -522,8 +515,7 @@ def train_variant(
     if not model.variant.stacked:
         # the encoder may have projectivized/dropped sentences; jackknife the kept ones
         _, train_dists, _ = jackknife_tags(
-            data.sentences, settings.jackknife_folds, settings,
-            seed=int(rng.integers(2**31)), global_tags=model.tags,
+            data.sentences, settings, seed=int(rng.integers(2**31)), global_tags=model.tags
         )
         epochs = schedule.tagger_pretrain_epochs + schedule.tagger_epochs
         train_tagger_only(model, data, epochs, settings.optimizer, rng)

@@ -151,7 +151,7 @@ def test_emit_activations_tags_each_token_once(trained_model, workdir, monkeypat
     m = model_mod.load(str(trained_model))
     expected = []
     for s in sentences:
-        _, acts = tagger_mod.tag_sentence(s, m.tagger, m.tvocabs, m.tags)
+        _, acts = tagger_mod.tag_sentences([s], m.tagger, m.tvocabs, m.tags)
         for t in s.tokens:
             vec = "\t".join(f"{x:.6g}" for x in acts.hidden[t.index - 1])
             expected.append(f"{t.index}\t{t.form}\t{vec}")
@@ -287,6 +287,53 @@ def test_neighbors_prints_rows(trained_model, workdir, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].startswith("query:")
     assert len(lines) == 4
+
+
+REPLAY = ["train", "--replay", "{file}", "--model", "{model}"]
+MANIFEST = '{"config": {"mode": "MODE"}, "inputs": {"train": {"path": "TRAIN"}}}'
+MALFORMED = {
+    # a config-file value that is not of its key's type
+    "config-value-type": (["train", "--config", "{file}", "--train", "{train}", "--model",
+                           "{model}"], "batch_size = many\n", "batch_size"),
+    # a replayed manifest without the fields a training manifest has
+    "replay-empty-object": (REPLAY, "{}", "malformed manifest"),
+    "replay-list": (REPLAY, "[]", "malformed manifest"),
+    # a replayed manifest's config goes through the config-file checks
+    "replay-unknown-key": (REPLAY, MANIFEST.replace('"mode": "MODE"', '"no_such_key": 1'),
+                           "no_such_key"),
+    "replay-bad-mode": (REPLAY, MANIFEST.replace("MODE", "tagless"), "tagless"),
+    "replay-value-type": (REPLAY, MANIFEST.replace('"mode": "MODE"', '"batch_size": 16.5'),
+                          "batch_size"),
+    # two config layers for one slot
+    "replay-and-config": (REPLAY + ["--config", "{file}"], MANIFEST.replace("MODE", "stackprop"),
+                          "--config"),
+    # fewer than one neighbour
+    "neighbors-k-0": (["neighbors", "--model", "{trained}", "--corpus", "{dev}", "--sentence",
+                       "1", "--token", "2", "-k", "0"], None, "-k"),
+    "neighbors-k-negative": (["neighbors", "--model", "{trained}", "--corpus", "{dev}",
+                              "--sentence", "1", "--token", "2", "-k", "-2"], None, "-k"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_invocation_exits_1_without_traceback(case, trained_model, workdir, capsys,
+                                                         caplog):
+    template, content, says = MALFORMED[case]
+    train = str(workdir / "train.conllu")
+    path, model = workdir / f"{case}.in", workdir / f"{case}.model"
+    if content is not None:
+        path.write_text(content.replace("TRAIN", train), encoding="utf-8")
+    argv = [a.format(file=path, train=train, model=model, trained=trained_model,
+                     dev=workdir / "dev.conllu") for a in template]
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = e.code
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert says in err + caplog.text
+    assert not model.exists()
 
 
 def test_inspect_model(trained_model, capsys):

@@ -393,7 +393,7 @@ def _run_plan(plan, cfg, seed, reads):
                 ref_n[k] += 1
                 ref[k] += (net.params[k] - ref[k]) / ref_n[k]
         if reads and read == "inference":
-            net.inference_params(True)
+            net.inference_params()
         elif reads and read == "average":
             net.average["W1"].sum()
         elif reads and read == "save":
@@ -417,7 +417,7 @@ def test_averages_are_running_means_and_reads_change_nothing(plan, averaging_sta
         # 1e-12 of the largest iterate, not of each (possibly cancelled) mean
         np.testing.assert_allclose(net.average[k], ref[k], rtol=1e-12, atol=1e-12 * scale)
         expected = net.average[k] if ref_n[k] else net.params[k]
-        assert np.array_equal(net.inference_params(True)[k], expected), k
+        assert np.array_equal(net.inference_params()[k], expected), k
     quiet, *_ = _run_plan(plan, cfg, seed, reads=False)
     assert net.step == quiet.step
     for k in net.block_names:
@@ -451,7 +451,7 @@ def test_average_is_read_only_and_set_average_writes_it():
     net.set_average("b1", 0.5)
     assert np.array_equal(net.average["b1"], np.full(net.n_hidden, 0.5))
     assert net.avg_count["b1"] == 1
-    assert np.array_equal(net.inference_params(True)["b1"], net.average["b1"])
+    assert np.array_equal(net.inference_params()["b1"], net.average["b1"])
     with pytest.raises(StackpropError):
         net.set_average("nope", 0.0)
 
@@ -503,16 +503,20 @@ def test_averaging_start_skips_early_steps():
 
 
 def test_inference_params_averaged_switch():
+    """Inference reads a block's raw parameters until it has an average,
+    then the average."""
     net = small_net(seed=14)
     cfg = OptimizerConfig(eta0=0.1, gamma=1e9, mu=0.0, batch_size=1)
     rng = np.random.default_rng(0)
     inputs = _example(net, rng)
+    assert all(v is net.params[k] for k, v in net.inference_params().items())
     for _ in range(3):
         grads = {k: rng.normal(size=v.shape) for k, v in net.params.items()}
         asgd_step(net, grads, cfg)
-    raw = forward_batch(net, inputs, net.inference_params(False)).logits
-    avg = forward_batch(net, inputs, net.inference_params(True)).logits
+    raw = forward_batch(net, inputs, net.params).logits
+    avg = forward_batch(net, inputs, net.inference_params()).logits
     assert not np.allclose(raw, avg)
+    assert np.array_equal(avg, forward_batch(net, inputs, dict(net.average)).logits)
 
 
 def test_save_load_roundtrip_fresh_and_trained():

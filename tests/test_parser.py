@@ -16,8 +16,6 @@ from stackprop.model import (
 )
 from stackprop.nnkernel import forward_batch
 from stackprop.parser import (
-    NULL_TOKEN,
-    ParseStats,
     feature_tokens,
     featurize,
     label_features,
@@ -25,10 +23,12 @@ from stackprop.parser import (
     parse_sentence,
     parser_input,
     score_actions,
+    token_tables,
 )
 from stackprop.synthetic import generate_corpus
-from stackprop.tagger import TaggerConfig, tag_sentence
+from stackprop.tagger import TaggerConfig, tag_sentences
 from stackprop.transition import (
+    NULL_TOKEN,
     SHIFT,
     Action,
     ActionSpace,
@@ -94,12 +94,32 @@ def test_label_features_track_arcs():
     assert all(l == NULL_ID for l in labs[2:])
 
 
-def decode_input(c, sentence, m, averaged=True):
+def decode_input(c, sentence, m):
     """The parser input the decoder builds for configuration ``c``."""
-    _, acts = tag_sentence(sentence, m.tagger, m.tvocabs, m.tags, averaged=averaged)
+    _, acts = tag_sentences([sentence], m.tagger, m.tvocabs, m.tags)
     rows, labels = featurize([c], [0])
-    params = m.parser.inference_params(averaged)
-    return parser_input(m, params, rows, labels, acts)
+    return parser_input(token_tables(m, m.parser.inference_params(), acts), rows, labels)
+
+
+@pytest.mark.parametrize("mode", [STACKPROP, PIPELINE])
+def test_token_tables_end_with_the_empty_slot_row(mode):
+    """One row per token, then the empty-slot row, which row -1 selects."""
+    m = tiny_model(mode=mode)
+    _, acts = tag_sentences([I_ATE_FISH], m.tagger, m.tvocabs, m.tags)
+    params = m.parser.inference_params()
+    tables = token_tables(m, params, acts)
+    if mode == STACKPROP:
+        expected = {"implicit": (acts.hidden, params["null_input"])}
+    else:
+        expected = {"tagdist": (acts.probs, np.zeros(m.tags.n_classes)),
+                    "pwords": (acts.words, NULL_ID)}
+    assert set(tables) == set(expected)
+    for name, (token_rows, empty_row) in expected.items():
+        table = tables[name]
+        assert len(table) == len(I_ATE_FISH) + 1
+        assert np.array_equal(table[:-1], token_rows)
+        assert np.array_equal(table[-1], empty_row)
+        assert np.array_equal(table[NULL_TOKEN], empty_row)
 
 
 def test_featurize_rows_are_zero_based_and_offset():
@@ -141,7 +161,7 @@ def test_parser_input_pipeline_layout():
     m = tiny_model(mode=PIPELINE)
     c = replay(I_ATE_FISH, [Action(SHIFT)], STD)
     toks = feature_tokens(c)
-    _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
+    _, acts = tag_sentences([I_ATE_FISH], m.tagger, m.tvocabs, m.tags)
     inputs = decode_input(c, I_ATE_FISH, m)
     assert set(inputs) == {"tagdist", "pwords", "labels"}
     for i, tok in enumerate(toks):
@@ -171,7 +191,7 @@ def test_embedding_perturbation_sensitivity():
     c = initial(s)  # templates select only b0..b3 = tokens 1..4
 
     def parser_h0():
-        return forward_batch(m.parser, decode_input(c, s, m, averaged=False)).h0
+        return forward_batch(m.parser, decode_input(c, s, m)).h0
 
     base = parser_h0()
     # token 10's form is outside every selected window (max selected token 4, radius 3)
@@ -188,9 +208,10 @@ def test_zero_weights_uniform_over_legal_actions():
     m = tiny_model()
     for k in list(m.parser.params):
         m.parser.params[k][:] = 0.0
-    _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
+    _, acts = tag_sentences([I_ATE_FISH], m.tagger, m.tvocabs, m.tags)
     c = initial(I_ATE_FISH)
-    (logits,) = score_actions([c], [0], m, acts, m.parser.inference_params(False))
+    params = m.parser.inference_params()
+    (logits,) = score_actions([c], [0], m, token_tables(m, params, acts), params)
     assert np.allclose(logits, logits[0])
     mask = m.actions.legal_mask(c)
     masked = logits.copy()
@@ -202,9 +223,10 @@ def test_zero_weights_uniform_over_legal_actions():
 
 def test_argmax_invariant_to_constant_shift():
     m = tiny_model(seed=3)
-    _, acts = tag_sentence(I_ATE_FISH, m.tagger, m.tvocabs, m.tags)
+    _, acts = tag_sentences([I_ATE_FISH], m.tagger, m.tvocabs, m.tags)
     c = initial(I_ATE_FISH)
-    (logits,) = score_actions([c], [0], m, acts, m.parser.inference_params(True))
+    params = m.parser.inference_params()
+    (logits,) = score_actions([c], [0], m, token_tables(m, params, acts), params)
     mask = m.actions.legal_mask(c)
     a = logits.copy()
     a[~mask] = -np.inf
@@ -240,13 +262,12 @@ def test_no_legal_action_raises(monkeypatch):
 
 def test_parse_full_tree_and_stats():
     m = tiny_model()
-    stats = ParseStats()
-    out = parse_sentence(I_ATE_FISH, m, stats=stats)
+    (out,), stats = parse_corpus([I_ATE_FISH], m)
     assert all(t.pred_head is not None for t in out.tokens)
     heads = {t.index: t.pred_head for t in out.tokens}
     # a full tree: every token has a head, exactly reachable set
     assert set(heads) == {1, 2, 3}
-    assert stats.tagger_evals == 3  # one tagger pass per token
+    assert stats.tokens == 3  # one tagger pass per token
     assert stats.parser_evals <= 4 * 3
 
 
@@ -280,7 +301,7 @@ def test_decode_yields_one_rooted_tree(seed, swap, mode, scale):
     for block in m.parser.params.values():
         block[...] = rng.normal(scale=scale, size=block.shape)
     for s in corpus:
-        heads = [t.pred_head for t in parse_sentence(s, m, averaged=False).tokens]
+        heads = [t.pred_head for t in parse_sentence(s, m).tokens]
         assert is_one_rooted_tree(heads), heads
 
 
@@ -338,8 +359,7 @@ def test_lockstep_one_parser_forward_per_step(monkeypatch):
     m = tiny_model(corpus, seed=2)
     steps = []
     for s in corpus:
-        one = ParseStats()
-        parse_sentence(s, m, stats=one)
+        _, one = parse_corpus([s], m)
         assert one.parser_batches == one.parser_evals
         steps.append(one.parser_evals)
     parser_rows, tagger_rows = [], []
@@ -351,7 +371,7 @@ def test_lockstep_one_parser_forward_per_step(monkeypatch):
     # configurations retire once terminal: the batch only shrinks
     assert parser_rows[0] == len(corpus)
     assert parser_rows == sorted(parser_rows, reverse=True)
-    assert sum(tagger_rows) == stats.tagger_evals == sum(len(s) for s in corpus)
+    assert sum(tagger_rows) == stats.tokens == sum(len(s) for s in corpus)
 
 
 def test_empty_sentence_in_corpus_raises_before_decoding(monkeypatch):
@@ -388,11 +408,11 @@ def test_decode_output_independent_of_batching(n, seed, swap, mode, scale, group
     def conllu(parsed):
         return emit_conllu(parsed, use_predicted=True)
 
-    expected = conllu([parse_sentence(s, m, averaged=False) for s in corpus])
+    expected = conllu([parse_sentence(s, m) for s in corpus])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parser_mod, "LOCKSTEP_SENTENCES", group)
-        assert conllu(parse_corpus(corpus, m, averaged=False)[0]) == expected
-        assert conllu(parse_corpus(corpus, m, threads=3, averaged=False)[0]) == expected
-        head, _ = parse_corpus(corpus[:k], m, averaged=False)
-        tail, _ = parse_corpus(corpus[k:], m, averaged=False)
+        assert conllu(parse_corpus(corpus, m)[0]) == expected
+        assert conllu(parse_corpus(corpus, m, threads=3)[0]) == expected
+        head, _ = parse_corpus(corpus[:k], m)
+        tail, _ = parse_corpus(corpus[k:], m)
         assert conllu(head + tail) == expected

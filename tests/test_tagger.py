@@ -19,7 +19,6 @@ from stackprop.tagger import (
     encode_sentence,
     load_pretrained_embeddings,
     symbol_flags,
-    tag_sentence,
     tag_sentences,
     tagger_groups,
 )
@@ -124,15 +123,15 @@ def make_net(sentences, cfg=None, seed=0):
 
 
 def hidden(sentence, net, tv, tags):
-    """Raw-parameter tagger activations of every token, (n, H)."""
-    return tag_sentence(sentence, net, tv, tags, averaged=False)[1].hidden
+    """Tagger activations of every token, (n, H)."""
+    return tag_sentences([sentence], net, tv, tags)[1].hidden
 
 
 def test_zero_weights_give_uniform_tag_distribution():
     net, tv, tags = make_net([I_ATE_FISH])
     for k in ("W2", "b2"):
         net.params[k][:] = 0.0
-    _, acts = tag_sentence(I_ATE_FISH, net, tv, tags, averaged=False)
+    _, acts = tag_sentences([I_ATE_FISH], net, tv, tags)
     assert np.allclose(acts.probs, 1.0 / tags.n_classes)
 
 
@@ -146,30 +145,30 @@ def test_hidden_nonnegative_and_deterministic():
 
 def test_tag_sentence_shapes_and_ties():
     net, tv, tags = make_net([I_ATE_FISH])
-    pred, acts = tag_sentence(I_ATE_FISH, net, tv, tags)
+    (pred,), acts = tag_sentences([I_ATE_FISH], net, tv, tags)
     assert len(pred) == 3
     assert acts.hidden.shape == (3, 8)
     for k in ("W2", "b2"):
         net.params[k][:] = 0.0
         net.set_average(k, 0.0)
-    pred, _ = tag_sentence(I_ATE_FISH, net, tv, tags)
+    (pred,), _ = tag_sentences([I_ATE_FISH], net, tv, tags)
     # uniform scores tie-break to the lowest tag id
     assert all(p == tags.class_string(0) for p in pred)
 
 
 def test_activations_independent_of_softmax_parameters():
     net, tv, tags = make_net([I_ATE_FISH])
-    _, acts1 = tag_sentence(I_ATE_FISH, net, tv, tags, averaged=False)
+    _, acts1 = tag_sentences([I_ATE_FISH], net, tv, tags)
     net.params["W2"] += 7.5
     net.params["b2"] -= 2.0
-    _, acts2 = tag_sentence(I_ATE_FISH, net, tv, tags, averaged=False)
+    _, acts2 = tag_sentences([I_ATE_FISH], net, tv, tags)
     assert np.array_equal(acts1.hidden, acts2.hidden)
 
 
 def test_probs_are_the_softmax_of_the_hidden_rows():
     net, tv, tags = make_net([I_ATE_FISH])
-    pred, acts = tag_sentence(I_ATE_FISH, net, tv, tags)
-    avg = net.inference_params(True)
+    (pred,), acts = tag_sentences([I_ATE_FISH], net, tv, tags)
+    avg = net.inference_params()
     expected = softmax_batch(acts.hidden @ avg["W2"] + avg["b2"])
     assert np.allclose(acts.probs, expected, rtol=1e-12, atol=0)
     assert pred == [tags.class_string(int(k)) for k in expected.argmax(axis=1)]
@@ -259,8 +258,8 @@ def test_encode_sentence_matches_per_token_windows(forms, known):
             assert enc[name].dtype == np.int64
             assert enc[name].shape[0] == len(rows)
             assert list(enc[name][row]) == ref[name], (name, row)
-    for sent, (_, acts) in zip(sents, tag_sentences(sents, net, tv, tags)):
-        assert list(acts.words) == [tv.words.id_of(t.form.lower()) for t in sent.tokens]
+    _, acts = tag_sentences(sents, net, tv, tags)
+    assert list(acts.words) == [tv.words.id_of(t.form.lower()) for s in sents for t in s.tokens]
 
 
 def per_sentence_encoding(sentence, vocabs):
@@ -317,15 +316,21 @@ def test_batch_encoding_matches_per_sentence_encoding(forms, vocab_share):
 
 def test_tag_sentences_equals_tagging_each_sentence_alone():
     """One batch encoding with a tagger pass per sentence gives bitwise the
-    tags and activations of tagging each sentence on its own."""
+    tags and activations of tagging each sentence on its own, its rows in
+    token order."""
     sents = [I_ATE_FISH, make_sentence([0], forms=["Fish"]),
              make_sentence([0] + [1] * 8, forms=[f"w{i}" for i in range(9)])]
     net, tv, tags = make_net(sents)
-    for sent, (pred, acts) in zip(sents, tag_sentences(sents, net, tv, tags, averaged=False)):
-        alone_pred, alone = tag_sentence(sent, net, tv, tags, averaged=False)
+    preds, acts = tag_sentences(sents, net, tv, tags)
+    assert acts.hidden.shape == (13, 8) and acts.probs.shape == (13, tags.n_classes)
+    lo = 0
+    for sent, pred in zip(sents, preds):
+        (alone_pred,), alone = tag_sentences([sent], net, tv, tags)
         assert pred == alone_pred
+        hi = lo + len(sent)
         for field in ("hidden", "probs", "words"):
-            assert np.array_equal(getattr(acts, field), getattr(alone, field)), field
+            assert np.array_equal(getattr(acts, field)[lo:hi], getattr(alone, field)), field
+        lo = hi
 
 
 def test_pretrained_embedding_loading(tmp_path):

@@ -19,9 +19,9 @@ from stackprop.model import (
     save,
 )
 from stackprop.nnkernel import OptimizerConfig
-from stackprop.parser import parse_corpus, parse_sentence, score_actions
+from stackprop.parser import parse_corpus, parse_sentence, score_actions, token_tables
 from stackprop.synthetic import generate_corpus
-from stackprop.tagger import tag_sentence
+from stackprop.tagger import tag_sentences
 from stackprop.trainer import (
     TAGGER_SOFTMAX_BLOCKS,
     encode_training_data,
@@ -72,7 +72,8 @@ def test_encoded_corpus_shapes():
     assert data.n_parse_examples == 2 * n_tokens  # arc-standard: 2n steps
     assert data.deriv_tokens.shape == (2 * n_tokens, 20)
     assert data.deriv_labels.shape == (2 * n_tokens, 12)
-    assert data.offsets[-1] == n_tokens
+    assert all(x.shape[0] == n_tokens for x in data.tag_inputs.values())
+    assert data.deriv_tokens.min() == -1 and data.deriv_tokens.max() == n_tokens - 1
     assert data.skipped == 0
 
 
@@ -106,6 +107,17 @@ def test_parser_update_moves_null_row_only_when_selected():
     first_steps = np.array([0])  # first derivation step of the corpus = initial config
     parser_batch_update(model, data, first_steps, s.optimizer)
     assert not np.array_equal(model.parser.params["null_input"], before)
+
+
+def test_pipeline_update_needs_jackknifed_distributions():
+    """The variant picks the update's path: a pipeline update without tag
+    distributions is an error, and it leaves both networks as they were."""
+    model, data, s = fresh(PIPELINE)
+    before = net_state(model.parser), net_state(model.tagger)
+    with pytest.raises(StackpropError, match="jackknifed tag distributions"):
+        parser_batch_update(model, data, np.array([0, 1]), s.optimizer)
+    assert_blocks_identical(model.parser, before[0], model.parser.block_names)
+    assert_blocks_identical(model.tagger, before[1], model.tagger.block_names)
 
 
 def test_gradient_reaches_selected_word_embeddings_only():
@@ -166,17 +178,18 @@ def test_decode_input_matches_training_batch(sizes, seed, swap, mode):
     s = tiny_settings()
     model = build_model(mode, corpus, s.tagger_cfg, s.parser_cfg, swap=swap, seed=0)
     data = encode_training_data(corpus, model)
-    params = model.parser.inference_params(False)
+    params = model.parser.inference_params()
 
     decoded, dists = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parser_mod, "forward_batch", _recording(parser_mod, model.parser, decoded))
         for sent in data.sentences:
-            _, acts = tag_sentence(sent, model.tagger, model.tvocabs, model.tags, averaged=False)
+            _, acts = tag_sentences([sent], model.tagger, model.tvocabs, model.tags)
             dists.append(acts.probs)
+            tables = token_tables(model, params, acts)
             c = initial(sent)
             for a in unroll(sent, model.system, model.labels, model.tags).actions():
-                score_actions([c], [0], model, acts, params)
+                score_actions([c], [0], model, tables, params)
                 apply(c, a, model.system)
     assert len(decoded) == data.n_parse_examples
 
@@ -242,7 +255,7 @@ def test_training_determinism_bitwise():
 def test_jackknife_bookkeeping():
     sents = generate_corpus(10, seed=8)
     settings = tiny_settings(seed=0, parser_epochs=1, tagger_epochs=2)
-    annotated, dists, folds = jackknife_tags(sents, 5, settings, seed=1)
+    annotated, dists, folds = jackknife_tags(sents, settings, seed=1)
     assert len(folds) == 5
     assert all(t.pred_upos is not None for s in annotated for t in s.tokens)
     n_tokens = sum(len(s) for s in sents)
@@ -256,7 +269,8 @@ def test_jackknife_fold_models_never_see_their_fold():
     s1 = make_sentence([0, 1], forms=["aaa", "bbb"], tags=["N", "V"])
     s2 = make_sentence([0, 1], forms=["ccc", "ddd"], tags=["N", "V"])
     settings = tiny_settings(parser_epochs=1, tagger_epochs=1)
-    annotated, _, folds = jackknife_tags([s1, s2], 2, settings, seed=0)
+    settings.jackknife_folds = 2
+    annotated, _, folds = jackknife_tags([s1, s2], settings, seed=0)
     # fold 0 holds out s1 and trains on s2, and vice versa
     assert "ccc" in folds[0].forms and "aaa" not in folds[0].forms
     assert "aaa" in folds[1].forms and "ccc" not in folds[1].forms
@@ -264,7 +278,7 @@ def test_jackknife_fold_models_never_see_their_fold():
 
 def test_jackknife_too_few_sentences_errors():
     with pytest.raises(StackpropError):
-        jackknife_tags(generate_corpus(3, seed=0), 5, tiny_settings())
+        jackknife_tags(generate_corpus(3, seed=0), tiny_settings())  # 5 folds
 
 
 def test_jackknife_folds_partition_corpus():
@@ -280,7 +294,7 @@ def test_fold_taggers_track_full_data_tagger():
     """Jackknifed fold taggers stay within 5 points of a full-data tagger."""
     from stackprop.model import ParserNetworkConfig
     from stackprop.nnkernel import OptimizerConfig
-    from stackprop.tagger import TaggerConfig, tag_sentence
+    from stackprop.tagger import TaggerConfig
     from stackprop.trainer import TrainSettings, TrainingSchedule, train_tagger_only
 
     corpus = generate_corpus(90, seed=80)
@@ -292,8 +306,9 @@ def test_fold_taggers_track_full_data_tagger():
         optimizer=OptimizerConfig(
             eta0=0.05, gamma=20000.0, mu=0.9, batch_size=16, averaging_start=200
         ),
+        jackknife_folds=3,
     )
-    annotated, _, _ = jackknife_tags(corpus, 3, settings, seed=3)
+    annotated, _, _ = jackknife_tags(corpus, settings, seed=3)
     bounds = [round(i * 90 / 3) for i in range(4)]
     fold_accs = []
     for i in range(3):
@@ -309,8 +324,8 @@ def test_fold_taggers_track_full_data_tagger():
     data = encode_training_data(corpus, full)
     train_tagger_only(full, data, 51, settings.optimizer, np.random.default_rng(5))
     ok = tot = 0
-    for d in dev:
-        pred, _ = tag_sentence(d, full.tagger, full.tvocabs, full.tags)
+    preds, _ = tag_sentences(dev, full.tagger, full.tvocabs, full.tags)
+    for d, pred in zip(dev, preds):
         for g, p in zip(d.tokens, pred):
             tot += 1
             ok += g.gold_upos == p
@@ -345,13 +360,10 @@ def test_pipeline_decodes_with_its_own_tagger_not_jackknife():
     settings = tiny_settings(seed=2, parser_epochs=2, tagger_epochs=2)
     model = pipeline_train(CORPUS, None, settings)
     dev = generate_corpus(4, seed=32)[0]
-    from stackprop.tagger import tag_sentence
-    from stackprop.transition import initial
-
     def first_logits():
-        _, acts = tag_sentence(dev, model.tagger, model.tvocabs, model.tags)
-        params = model.parser.inference_params(True)
-        return score_actions([initial(dev)], [0], model, acts, params)[0]
+        _, acts = tag_sentences([dev], model.tagger, model.tvocabs, model.tags)
+        params = model.parser.inference_params()
+        return score_actions([initial(dev)], [0], model, token_tables(model, params, acts), params)[0]
 
     before = first_logits()
     # the decode-time distributions come from the model's tagger, not from any
@@ -390,7 +402,7 @@ def test_trained_network_reads_its_averages_without_computing_them():
     net = model.parser
     tracemalloc.start()
     try:
-        params = net.inference_params(True)
+        params = net.inference_params()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -411,7 +423,7 @@ def test_dev_evaluation_reads_the_averages_in_place(monkeypatch):
         tracemalloc.start()
         try:
             for net in (model.tagger, model.parser):
-                net.inference_params(True)
+                net.inference_params()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -436,7 +436,7 @@ def test_long_sentences_take_linear_time():
         seed=0,
     )
     t0 = time.perf_counter()
-    parsed = parse_sentence(chain, m, averaged=False)
+    parsed = parse_sentence(chain, m)
     elapsed = time.perf_counter() - t0
     assert sum(t.pred_head == 0 for t in parsed.tokens) == 1
     assert elapsed < 1.0, elapsed
