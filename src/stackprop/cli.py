@@ -29,6 +29,7 @@ from stackprop.errors import (
     StackpropError,
 )
 from stackprop.model import MODES, STACKPROP
+from stackprop.nnkernel import kernel_workers
 from stackprop.trainer import TrainSettings
 
 log = logging.getLogger("stackprop")
@@ -232,6 +233,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "inputs": {"train": {"path": train_path, "sha256": sha256_file(train_path)}},
         "model": {"path": args.model, "sha256": sha256_file(args.model)},
         "seconds": round(seconds, 3),
+        "kernel_workers": kernel_workers(),
     }
     if dev_path:
         manifest["inputs"]["dev"] = {"path": dev_path, "sha256": sha256_file(dev_path)}
@@ -304,8 +306,10 @@ def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
             if stats.parser_batches else ""
         )
         log.info(
-            "processed %d sentences in %.2fs (%.1f sentences/s, %.1f network evals/s%s)",
+            "processed %d sentences in %.2fs (%.1f sentences/s, %.1f network evals/s%s, "
+            "%d kernel workers)",
             stats.sentences, seconds, stats.sentences / seconds, evals / seconds, batching,
+            kernel_workers(),
         )
     return EXIT_OK
 

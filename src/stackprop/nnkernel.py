@@ -13,19 +13,30 @@ restricted to a subset of blocks leave the rest bit-identical. While a block
 trains, its average is kept as the running sum of its iterates (Polyak &
 Juditsky 1992; Bottou 2012), so a step adds the new parameters once instead
 of rewriting a mean; the mean is divided out when something reads it.
+
+The ``W1`` products and the updates of large blocks are split over the
+usable cores (``_cuts``, ``_run``). A product is cut only along an output
+dimension, into aligned pieces above OpenBLAS's small-matrix path, so every
+output element is summed as in the whole product and results do not depend
+on the core count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
 import json
+import os
 import struct
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
+from functools import partial
+from pathlib import Path
 from types import MappingProxyType
-from typing import BinaryIO, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -37,6 +48,44 @@ DTYPE = np.float64
 MAGIC = b"STPM"
 FORMAT_VERSION = 1
 SAVE_CHUNK_BYTES = 1 << 20  # most bytes of a block written at once (bounds a saved mean's copy)
+
+# Work splitting. Piece boundaries fall on multiples of ALIGN elements, so
+# each piece's BLAS tiles line up with the whole product's. A product piece
+# does at least GEMM_FLOOR multiply-adds, which keeps it above OpenBLAS's
+# small-matrix path (at most 1e6; it rounds differently) and worth a handoff;
+# an update piece covers at least ASGD_FLOOR elements.
+ALIGN = 64
+GEMM_FLOOR = 1 << 21
+ASGD_FLOOR = 1 << 17
+
+
+def _blas_threads() -> int:
+    """Threads numpy's bundled OpenBLAS runs a product on; 1 when there is
+    no such library to ask."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*.so*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in (
+            "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            query = getattr(handle, symbol, None)
+            if query is not None:
+                query.restype = ctypes.c_int
+                return query()
+    return 1
+
+
+# Helper threads beside the caller, one per other usable core; threads start
+# on the first split. None on a single core, and when numpy's OpenBLAS runs
+# threads of its own: it spreads each product over the cores already, and
+# split products and updates then ran slower than whole ones.
+_HELPERS = len(os.sched_getaffinity(0)) - 1
+_POOL = (
+    ThreadPoolExecutor(_HELPERS, thread_name_prefix="nnkernel")
+    if _HELPERS and _blas_threads() == 1
+    else None
+)
 
 
 @dataclass(frozen=True)
@@ -209,6 +258,56 @@ class ForwardCache:
     logits: np.ndarray
 
 
+def kernel_workers() -> int:
+    """Threads that run the pieces of a split product or update: the
+    caller and the pool's helpers."""
+    return 1 + (_POOL._max_workers if _POOL is not None else 0)
+
+
+def _cuts(n: int, unit: int, floor: int, equal: bool) -> list[slice]:
+    """[0, n) cut into one piece per kernel worker, or fewer: pieces are
+    ALIGN-multiples as equal as that allows (all equal when ``equal``), the
+    last one shortest, and each is worth at least ``floor`` at ``unit`` per
+    index. The whole range when no cut qualifies."""
+    for k in range(kernel_workers(), 1, -1):
+        w = -(-n // (k * ALIGN)) * ALIGN
+        last = n - (k - 1) * w
+        if last * unit >= floor and (last == w or not equal):
+            return [slice(i, i + w) for i in range(0, n, w)]
+    return [slice(0, n)]
+
+
+def _run(pieces: list[Callable[[], object]]) -> None:
+    """Run every piece: the first on the calling thread, the rest on the
+    pool. Afterwards the caller runs any piece no helper has started, so a
+    busy pool costs nothing and nested pools cannot deadlock. Pieces call
+    only numpy."""
+    futures = [_POOL.submit(piece) for piece in pieces[1:]]
+    pieces[0]()
+    for piece, f in zip(pieces[1:], futures):
+        if f.cancel():
+            piece()
+        else:
+            f.result()
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """``a @ b`` for 2-D operands, split along output ``axis`` (0: rows of
+    ``a``, 1: columns of ``b``) into equal pieces when they are large
+    enough; never along the reduction, so the result is bitwise ``a @ b``."""
+    out_shape = (a.shape[0], b.shape[1])
+    cuts = _cuts(out_shape[axis], a.shape[1] * out_shape[1 - axis], GEMM_FLOOR, equal=True)
+    if len(cuts) == 1:
+        return a @ b
+    out = np.empty(out_shape, dtype=np.result_type(a, b))
+    if axis == 0:
+        pieces = [partial(np.matmul, a[s], b, out=out[s]) for s in cuts]
+    else:
+        pieces = [partial(np.matmul, a, b[:, s], out=out[:, s]) for s in cuts]
+    _run(pieces)
+    return out
+
+
 def embed_forward_batch(
     net: Network, inputs: dict[str, np.ndarray], params: Optional[dict] = None
 ) -> np.ndarray:
@@ -242,7 +341,8 @@ def forward_batch(
 ) -> ForwardCache:
     params = params if params is not None else net.params
     h0 = embed_forward_batch(net, inputs, params)
-    z1 = h0 @ params["W1"] + params["b1"]
+    z1 = _matmul(h0, params["W1"], axis=1)
+    z1 += params["b1"]
     h1 = np.maximum(z1, 0.0)
     logits = h1 @ params["W2"] + params["b2"]
     return ForwardCache(inputs, h0, z1, h1, logits)
@@ -296,9 +396,9 @@ def _backward_hidden(
     grads: dict[str, np.ndarray],
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     dz1 = dh1 * (cache.z1 > 0)
-    grads["W1"] = cache.h0.T @ dz1
+    grads["W1"] = _matmul(cache.h0.T, dz1, axis=0)
     grads["b1"] = dz1.sum(axis=0)
-    dh0 = dz1 @ net.params["W1"].T
+    dh0 = _matmul(dz1, net.params["W1"].T, axis=1)
     dense_grads: dict[str, np.ndarray] = {}
     offset = 0
     batch = dh0.shape[0]
@@ -349,7 +449,8 @@ def asgd_step(
     block is updated in place with no temporary arrays. Blocks outside the
     scope keep their parameters, velocities, averages, and counts
     bit-identical. The learning rate decays as eta0 / (1 + step/gamma) on
-    this network's own step counter.
+    this network's own step counter. A large block is updated in row
+    slices split over the kernel's workers.
     """
     blocks = list(scope) if scope is not None else net.block_names
     for name in blocks:
@@ -374,13 +475,27 @@ def asgd_step(
     averaging = net.step > config.averaging_start
     for name in blocks:
         p, v, g = net.params[name], net.velocity[name], grads[name]
-        g *= lr
-        v *= config.mu
-        v -= g
-        p += v
-        if averaging:
-            acc = net._running_sum(name)
-            acc += p
+        acc = net._running_sum(name) if averaging else None
+        rows = p.shape[0] if p.ndim else 1
+        cuts = _cuts(rows, p.size // max(1, rows), ASGD_FLOOR, equal=False)
+        if len(cuts) == 1:
+            _asgd_rows(p, v, g, acc, lr, config.mu)
+        else:
+            _run([
+                partial(_asgd_rows, p[s], v[s], g[s], None if acc is None else acc[s], lr, config.mu)
+                for s in cuts
+            ])
+
+
+def _asgd_rows(p, v, g, acc, lr: float, mu: float) -> None:
+    """The in-place momentum step on matching slices of one block's
+    parameters, velocity, gradient and (unless None) running sum."""
+    g *= lr
+    v *= mu
+    v -= g
+    p += v
+    if acc is not None:
+        acc += p
 
 
 # serialization: versioned container holding any number of networks

@@ -165,14 +165,17 @@ def tag_sentences(
     round a different row count apart)."""
     inputs = encode_sentence(sentences, vocabs)
     bounds = np.cumsum([0] + [len(s) for s in sentences]).tolist()
-    preds, hidden, probs = zip(*(
-        tag_sentence({k: v[lo:hi] for k, v in inputs.items()}, net, tags)
-        for lo, hi in zip(bounds, bounds[1:])
-    ))
+    # empty leading tables keep the widths when there are no sentences
+    preds, hidden, probs = [], [np.empty((0, net.n_hidden))], [np.empty((0, net.n_out))]
+    for lo, hi in zip(bounds, bounds[1:]):
+        pred, h, prob = tag_sentence({k: v[lo:hi] for k, v in inputs.items()}, net, tags)
+        preds.append(pred)
+        hidden.append(h)
+        probs.append(prob)
     acts = TaggerActivations(
         np.concatenate(hidden), np.concatenate(probs), inputs["words"][:, WORD_WINDOW]
     )
-    return list(preds), acts
+    return preds, acts
 
 
 def load_pretrained_embeddings(path: str, vocab: Vocab, matrix: np.ndarray) -> tuple[int, int]:

@@ -17,6 +17,7 @@ from stackprop.cli import (
     settings_from_config,
 )
 from stackprop.corpus import emit_conllu, parse_conllu
+from stackprop.nnkernel import kernel_workers
 from stackprop.synthetic import generate_corpus
 
 TINY_FLAGS = [
@@ -61,6 +62,9 @@ def test_train_writes_model_and_manifest(trained_model, workdir):
     assert manifest["config"]["seed"] == 3
     assert manifest["model"]["sha256"] == sha(trained_model)
     assert "train" in manifest["inputs"] and "dev" in manifest["inputs"]
+    # run facts sit beside the config, which --replay reads
+    assert manifest["kernel_workers"] == kernel_workers() >= 1
+    assert "kernel_workers" not in manifest["config"]
 
 
 def test_manifest_replay_reproduces_model_bytes(trained_model, workdir):
@@ -91,6 +95,15 @@ def test_parse_logs_configurations_per_parser_forward(trained_model, workdir, ca
                str(workdir / "dev.conllu"), "--output", os.devnull])
     assert rc == 0
     assert "configurations per parser forward" in caplog.text
+    assert f"{kernel_workers()} kernel workers)" in caplog.text
+
+
+def test_tag_logs_kernel_workers(trained_model, workdir, caplog):
+    caplog.set_level(logging.INFO, logger="stackprop")
+    rc = main(["tag", "--model", str(trained_model), "--input",
+               str(workdir / "dev.conllu"), "--output", os.devnull])
+    assert rc == 0
+    assert f"{kernel_workers()} kernel workers)" in caplog.text
 
 
 @pytest.mark.parametrize("command", ["parse", "tag"])

@@ -1,11 +1,19 @@
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stackprop
+from stackprop import nnkernel
 from stackprop.errors import ModelError, StackpropError
 from stackprop.nnkernel import (
     FeatureGroupSpec,
@@ -342,9 +350,98 @@ def test_asgd_wrong_shape_gradient_errors_and_changes_nothing():
     assert_same_state(net, before)
 
 
-def test_asgd_step_allocates_no_block_sized_temporaries():
+@pytest.fixture
+def split_workers(request, monkeypatch):
+    """Makes the kernel split over ``request.param`` workers (the caller and
+    a pool of helpers), whatever the machine's core count or OpenBLAS's
+    threads."""
+    pool = ThreadPoolExecutor(request.param - 1) if request.param > 1 else None
+    monkeypatch.setattr(nnkernel, "_POOL", pool)
+    yield request.param
+    if pool is not None:
+        pool.shutdown()
+
+
+def count_splits(monkeypatch) -> list[int]:
+    """The piece count of every split run from now on."""
+    counts = []
+    run = nnkernel._run
+
+    def counted(pieces):
+        counts.append(len(pieces))
+        run(pieces)
+
+    monkeypatch.setattr(nnkernel, "_run", counted)
+    return counts
+
+
+SWEEP_ROWS = [*range(1, 65), 100, 250, 640]
+
+
+@pytest.mark.parametrize("split_workers", [2, 4], indirect=True)
+@pytest.mark.parametrize("product", ["forward", "weight_grad", "input_grad"])
+def test_split_w1_products_equal_the_whole_products(product, split_workers, monkeypatch):
+    """Each W1 product, split over 2 or 4 workers, is bitwise the whole
+    product at the parser's default W1 shape (1664x1024), for every row
+    count from 1 up: the smallest counts are where a piece on OpenBLAS's
+    small-matrix path would round differently."""
+    rng = np.random.default_rng(5)
+    w1 = rng.uniform(-0.01, 0.01, size=(1664, 1024))
+    splits = count_splits(monkeypatch)
+    split_rows = []
+    for rows in SWEEP_ROWS:
+        h0 = rng.normal(size=(rows, 1664))
+        dz1 = rng.normal(size=(rows, 1024))
+        a, b, axis = {
+            "forward": (h0, w1, 1),
+            "weight_grad": (h0.T, dz1, 0),
+            "input_grad": (dz1, w1.T, 1),
+        }[product]
+        before = len(splits)
+        assert np.array_equal(nnkernel._matmul(a, b, axis), a @ b), rows
+        if len(splits) > before:
+            split_rows.append(rows)
+    # every row count from a handful up was split
+    assert split_rows and split_rows[0] <= 5
+    assert split_rows == [r for r in SWEEP_ROWS if r >= split_rows[0]]
+
+
+@pytest.mark.parametrize("split_workers", [2, 3], indirect=True)
+def test_asgd_step_split_equals_unsplit(split_workers, monkeypatch):
+    """Steps with row slices of the large blocks on the pool leave the same
+    parameters, velocities, averages and counts as steps with no pool."""
+    groups = [FeatureGroupSpec("ids", 4, 5001, 64), FeatureGroupSpec("vecs", 2, 32, 64, dense=True)]
+    cfg = OptimizerConfig(eta0=0.1, gamma=100.0, mu=0.9, averaging_start=1)
+
+    def train():
+        net = small_net(seed=21, groups=groups, n_hidden=1024)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            asgd_step(net, {k: rng.normal(size=v.shape) for k, v in net.params.items()}, cfg)
+        asgd_step(net, {k: rng.normal(size=v.shape) for k, v in net.params.items()}, cfg,
+                  scope=["E_ids", "b1"])
+        return net
+
+    splits = count_splits(monkeypatch)
+    split = train()
+    # W1 (384x1024) and E_ids (5001 rows, cut unequally) split on every step
+    # that updates them
+    assert len(splits) == 3 * 2 + 1 and min(splits) >= 2, splits
+    monkeypatch.setattr(nnkernel, "_POOL", None)
+    whole = train()
+    assert len(splits) == 7
+    assert_same_state(split, optimizer_state(whole))
+    assert _dump(split) == _dump(whole)
+
+
+@pytest.mark.parametrize("split_workers", [1, 2], ids=["whole", "split"], indirect=True)
+def test_asgd_step_allocates_no_block_sized_temporaries(split_workers, monkeypatch):
+    """Also with ``W1`` above the split floor and cut over two workers: the
+    row slices and the pool's handoff make no block-sized copy either."""
+    n_hidden = 512 if split_workers == 1 else 2048
     groups = [FeatureGroupSpec("ids", 4, 40, 16), FeatureGroupSpec("vecs", 4, 32, 16, dense=True)]
-    net = small_net(seed=18, groups=groups, n_hidden=512)
+    net = small_net(seed=18, groups=groups, n_hidden=n_hidden)
+    splits = count_splits(monkeypatch)
     rng = np.random.default_rng(3)
     cfg = OptimizerConfig(eta0=0.1, gamma=100.0, mu=0.9, averaging_start=0)
 
@@ -361,8 +458,9 @@ def test_asgd_step_allocates_no_block_sized_temporaries():
     finally:
         tracemalloc.stop()
     largest = max(v.nbytes for v in net.params.values())
-    assert largest == 128 * 512 * 8
+    assert largest == 128 * n_hidden * 8
     assert peak < 0.01 * largest, peak
+    assert len(splits) == 2 * (split_workers - 1), splits  # W1 in both steps
 
 
 SCOPES = (None, ("W1", "b1"), ("E_ids", "W2", "b2"), ("E_vecs",))
@@ -560,3 +658,69 @@ def test_load_rejects_corruption():
         load_model(io.BytesIO(bytes(flipped)))
     with pytest.raises(ModelError):
         load_model(io.BytesIO(raw[:10]))
+
+
+CORE_COUNT_RUN = r"""
+import hashlib, io, json, os, sys
+
+cpus = json.loads(sys.argv[1])
+if cpus:
+    os.sched_setaffinity(0, cpus)  # before the kernel sizes its pool
+from stackprop import corpus, model, nnkernel, parser, synthetic, trainer
+
+splits = []
+run = nnkernel._run
+nnkernel._run = lambda pieces: (splits.append(len(pieces)), run(pieces))
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+settings = trainer.TrainSettings(
+    schedule=trainer.TrainingSchedule(parser_epochs=1, tagger_epochs=1, seed=7)
+)
+m = trainer.train_variant("stackprop", synthetic.generate_corpus(40, seed=3), None, settings)
+buf = io.BytesIO()
+model.save(m, buf)
+test = synthetic.generate_corpus(70, seed=5)
+out = {"workers": nnkernel.kernel_workers(), "model": digest(buf.getvalue())}
+sys.setswitchinterval(1e-5)  # hand the interpreter between decode threads often
+for threads in (1, 3):
+    parsed, _ = parser.parse_corpus(test, m, threads=threads)
+    out[f"threads{threads}"] = digest(corpus.emit_conllu(parsed, use_predicted=True).encode())
+out["splits"] = len(splits)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="a single usable CPU: there is no second core count to compare with",
+)
+def test_outputs_do_not_depend_on_the_core_count():
+    """Default-dims training and decoding, where the kernel splits, give the
+    same model bytes and CoNLL-U in a process pinned to one CPU as in one
+    with every usable CPU; decoding over 3 threads, each splitting on the
+    shared pool, gives the threads=1 output and does not hang. OpenBLAS runs
+    one thread in both: its own thread count follows the CPUs and can round
+    differently by itself."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [str(Path(stackprop.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    )}
+
+    def run(cpus):
+        done = subprocess.run(
+            [sys.executable, "-c", CORE_COUNT_RUN, json.dumps(cpus)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    usable = sorted(os.sched_getaffinity(0))
+    one, every = run(usable[:1]), run([])
+    assert one["workers"] == 1 and one["splits"] == 0
+    assert every["workers"] == len(usable) and every["splits"] > 0
+    for key in ("model", "threads1", "threads3"):
+        assert one[key] == every[key], key
+    assert every["threads3"] == every["threads1"]

@@ -333,6 +333,15 @@ def test_tag_sentences_equals_tagging_each_sentence_alone():
         lo = hi
 
 
+def test_tag_sentences_of_no_sentences_gives_empty_tables():
+    net, tv, tags = make_net([I_ATE_FISH])
+    preds, acts = tag_sentences([], net, tv, tags)
+    assert preds == []
+    assert acts.hidden.shape == (0, 8) and acts.hidden.dtype == np.float64
+    assert acts.probs.shape == (0, tags.n_classes) and acts.probs.dtype == np.float64
+    assert acts.words.shape == (0,) and acts.words.dtype == np.int64
+
+
 def test_pretrained_embedding_loading(tmp_path):
     s = make_sentence([0, 1], forms=["alpha", "beta"])
     tv, _ = build([s])
