@@ -29,7 +29,7 @@ from stackprop.errors import (
     StackpropError,
 )
 from stackprop.model import MODES, STACKPROP
-from stackprop.nnkernel import kernel_workers
+from stackprop.nnkernel import blas_build, kernel_workers
 from stackprop.trainer import TrainSettings
 
 log = logging.getLogger("stackprop")
@@ -234,6 +234,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "model": {"path": args.model, "sha256": sha256_file(args.model)},
         "seconds": round(seconds, 3),
         "kernel_workers": kernel_workers(),
+        "blas": blas_build(),
     }
     if dev_path:
         manifest["inputs"]["dev"] = {"path": dev_path, "sha256": sha256_file(dev_path)}

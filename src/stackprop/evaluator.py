@@ -116,6 +116,9 @@ def cascade_breakdown(
     Returns (LAS on mistagged tokens, LAS on the rest); an empty partition
     scores 0 (by convention there is nothing to get right there).
     """
+    sizes = (len(gold), len(parsed), len(reference_tags))
+    if len(set(sizes)) > 1:
+        raise StackpropError(f"corpus size mismatch: {sizes} gold/parsed/reference sentences")
     err_total = err_ok = rest_total = rest_ok = 0
     for g, p, tags in zip(gold, parsed, reference_tags):
         if len(tags) != len(g):

@@ -18,7 +18,9 @@ The ``W1`` products and the updates of large blocks are split over the
 usable cores (``_cuts``, ``_run``). A product is cut only along an output
 dimension, into aligned pieces above OpenBLAS's small-matrix path, so every
 output element is summed as in the whole product and results do not depend
-on the core count.
+on the core count. Importing this module pins numpy's bundled OpenBLAS to
+one thread for the whole process, so that split is the only parallel work:
+OpenBLAS's own threads follow the core count and round differently.
 """
 
 from __future__ import annotations
@@ -59,33 +61,35 @@ GEMM_FLOOR = 1 << 21
 ASGD_FLOOR = 1 << 17
 
 
-def _blas_threads() -> int:
-    """Threads numpy's bundled OpenBLAS runs a product on; 1 when there is
-    no such library to ask."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*.so*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in (
-            "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-            "openblas_get_num_threads",
-        ):
-            query = getattr(handle, symbol, None)
-            if query is not None:
-                query.restype = ctypes.c_int
-                return query()
-    return 1
+_LIBS = sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*.so*"))
+_OPENBLAS = ctypes.CDLL(str(_LIBS[0])) if _LIBS else None  # numpy's bundled OpenBLAS
 
+
+def _openblas(name: str) -> Optional[Callable]:
+    """The function ``name`` of numpy's bundled OpenBLAS, under this
+    name or one of its older ones; None when there is no such library."""
+    names = (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}")
+    return next((getattr(_OPENBLAS, n) for n in names if hasattr(_OPENBLAS, n)), None)
+
+
+def blas_build() -> Optional[str]:
+    """numpy's OpenBLAS build (version, options, CPU kernel); None without one."""
+    config = _openblas("get_config")
+    if config is None:
+        return None
+    config.restype = ctypes.c_char_p
+    return config().decode().strip()
+
+
+# One OpenBLAS thread for the whole process (see the module docstring).
+_pin = _openblas("set_num_threads")
+if _pin is not None:
+    _pin(1)
 
 # Helper threads beside the caller, one per other usable core; threads start
-# on the first split. None on a single core, and when numpy's OpenBLAS runs
-# threads of its own: it spreads each product over the cores already, and
-# split products and updates then ran slower than whole ones.
+# on the first split. None on a single core.
 _HELPERS = len(os.sched_getaffinity(0)) - 1
-_POOL = (
-    ThreadPoolExecutor(_HELPERS, thread_name_prefix="nnkernel")
-    if _HELPERS and _blas_threads() == 1
-    else None
-)
+_POOL = ThreadPoolExecutor(_HELPERS, thread_name_prefix="nnkernel") if _HELPERS else None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from stackprop.model import (
     JOINT_STACKPROP,
     PIPELINE,
     STACKPROP,
-    WINDOW,
     ParserNetworkConfig,
     StackedModel,
     build_model,
@@ -382,16 +381,6 @@ def stackprop_train(
     log_fn: Optional[Callable[[str], None]] = None,
 ) -> StackedModel:
     return train_variant(STACKPROP, train, dev, settings, log_fn)
-
-
-def window_train(
-    train: list[Sentence],
-    dev: Optional[list[Sentence]],
-    settings: TrainSettings,
-    log_fn: Optional[Callable[[str], None]] = None,
-) -> StackedModel:
-    """The no-tags baseline: same architecture, no POS supervision at all."""
-    return train_variant(WINDOW, train, dev, settings, log_fn)
 
 
 def joint_train(

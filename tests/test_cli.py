@@ -17,7 +17,7 @@ from stackprop.cli import (
     settings_from_config,
 )
 from stackprop.corpus import emit_conllu, parse_conllu
-from stackprop.nnkernel import kernel_workers
+from stackprop.nnkernel import blas_build, kernel_workers
 from stackprop.synthetic import generate_corpus
 
 TINY_FLAGS = [
@@ -64,7 +64,8 @@ def test_train_writes_model_and_manifest(trained_model, workdir):
     assert "train" in manifest["inputs"] and "dev" in manifest["inputs"]
     # run facts sit beside the config, which --replay reads
     assert manifest["kernel_workers"] == kernel_workers() >= 1
-    assert "kernel_workers" not in manifest["config"]
+    assert manifest["blas"] == blas_build()
+    assert "kernel_workers" not in manifest["config"] and "blas" not in manifest["config"]
 
 
 def test_manifest_replay_reproduces_model_bytes(trained_model, workdir):
@@ -261,6 +262,17 @@ def test_eval_cascade_breakdown(workdir, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "las_on_rest=1.0000" in out
+
+
+def test_eval_reference_tags_of_fewer_sentences_is_a_data_error(workdir, capsys):
+    """A reference file one sentence short is refused, not scored over the
+    sentences it covers."""
+    short = workdir / "dev_short.conllu"
+    short.write_text(emit_conllu(generate_corpus(6, seed=51)[:5]), encoding="utf-8")
+    rc = main(["eval", "--gold", str(workdir / "dev.conllu"), "--system",
+               str(workdir / "dev.conllu"), "--reference-tags", str(short)])
+    assert rc == 2
+    assert "las_on_rest" not in capsys.readouterr().out
 
 
 def test_jackknife_writes_folds_and_corpus(workdir):

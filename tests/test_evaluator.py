@@ -149,6 +149,18 @@ def test_cascade_alignment_mismatch_errors():
         cascade_breakdown([g], [p], [["N"]])
 
 
+@pytest.mark.parametrize("short", ["gold", "parsed", "reference"])
+def test_cascade_corpus_size_mismatch_errors(short):
+    """A corpus one sentence short is refused, not scored over the
+    sentences the others share."""
+    gold = [make_sentence([2, 0], sid="a"), make_sentence([0, 1], sid="b")]
+    corpora = {"gold": gold, "parsed": [with_predictions(g) for g in gold],
+               "reference": [["N", "V"], ["V", "N"]]}
+    corpora[short] = corpora[short][:1]
+    with pytest.raises(StackpropError, match="corpus size mismatch"):
+        cascade_breakdown(corpora["gold"], corpora["parsed"], corpora["reference"])
+
+
 def fake_report(scores):
     return EvalReport(
         uas=0.0, las=0.0, pos_acc=None, n_tokens=1, per_sentence=[(s, s) for s in scores]

@@ -353,8 +353,7 @@ def test_asgd_wrong_shape_gradient_errors_and_changes_nothing():
 @pytest.fixture
 def split_workers(request, monkeypatch):
     """Makes the kernel split over ``request.param`` workers (the caller and
-    a pool of helpers), whatever the machine's core count or OpenBLAS's
-    threads."""
+    a pool of helpers), whatever the machine's core count."""
     pool = ThreadPoolExecutor(request.param - 1) if request.param > 1 else None
     monkeypatch.setattr(nnkernel, "_POOL", pool)
     yield request.param
@@ -701,26 +700,28 @@ print(json.dumps(out))
 def test_outputs_do_not_depend_on_the_core_count():
     """Default-dims training and decoding, where the kernel splits, give the
     same model bytes and CoNLL-U in a process pinned to one CPU as in one
-    with every usable CPU; decoding over 3 threads, each splitting on the
-    shared pool, gives the threads=1 output and does not hang. OpenBLAS runs
-    one thread in both: its own thread count follows the CPUs and can round
-    differently by itself."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+    with every usable CPU, with or without an OpenBLAS thread count in the
+    environment; decoding over 3 threads, each splitting on the shared
+    pool, gives the threads=1 output and does not hang."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(stackprop.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    )}
+    )
 
-    def run(cpus):
+    def run(cpus, **blas_env):
         done = subprocess.run(
             [sys.executable, "-c", CORE_COUNT_RUN, json.dumps(cpus)],
-            env=env, capture_output=True, text=True, timeout=600,
+            env={**env, **blas_env}, capture_output=True, text=True, timeout=600,
         )
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout)
 
     usable = sorted(os.sched_getaffinity(0))
     one, every = run(usable[:1]), run([])
+    blas_threads = run([], OPENBLAS_NUM_THREADS="2")
     assert one["workers"] == 1 and one["splits"] == 0
-    assert every["workers"] == len(usable) and every["splits"] > 0
-    for key in ("model", "threads1", "threads3"):
-        assert one[key] == every[key], key
+    for all_cores in (every, blas_threads):
+        assert all_cores["workers"] == len(usable) and all_cores["splits"] > 0
+        for key in ("model", "threads1", "threads3"):
+            assert one[key] == all_cores[key], key
     assert every["threads3"] == every["threads1"]

@@ -33,7 +33,6 @@ from stackprop.trainer import (
     stackprop_train,
     tagger_batch_update,
     train_variant,
-    window_train,
 )
 from stackprop.transition import apply, initial, unroll
 
@@ -232,7 +231,7 @@ def test_tagger_epochs_zero_equals_window_training():
     s0.schedule.tagger_epochs = 0
     s0.schedule.tagger_pretrain_epochs = 0
     m_sp = stackprop_train(CORPUS, None, s0)
-    m_w = window_train(CORPUS, None, tiny_settings(seed=4))
+    m_w = train_variant(WINDOW, CORPUS, None, tiny_settings(seed=4))
     for k in m_sp.parser.block_names:
         assert np.array_equal(m_sp.parser.params[k], m_w.parser.params[k])
     for k in m_sp.tagger.block_names:
@@ -468,7 +467,7 @@ def test_divergence_raises_at_first_nonfinite_loss():
     with np.errstate(all="ignore"), pytest.raises(
         StackpropError, match=r"diverged: PARSER loss is nan at update \d+"
     ):
-        window_train(generate_corpus(8, seed=1), None, s)
+        train_variant(WINDOW, generate_corpus(8, seed=1), None, s)
 
 
 def test_swap_training_on_nonprojective_corpus():
