@@ -14,8 +14,9 @@ import json
 import logging
 import sys
 import time
+from contextlib import ExitStack, nullcontext
 from dataclasses import replace
-from typing import Iterator, Optional, TextIO
+from typing import ContextManager, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -246,54 +247,37 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _open_in(path: Optional[str]) -> TextIO:
-    return sys.stdin if path in (None, "-") else open(path, encoding="utf-8")
+def _open_in(path: Optional[str]) -> ContextManager[TextIO]:
+    return nullcontext(sys.stdin) if path in (None, "-") else open(path, encoding="utf-8")
 
 
-def _open_out(path: Optional[str]) -> TextIO:
-    return sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
+def _open_out(path: Optional[str]) -> ContextManager[TextIO]:
+    return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8")
 
 
 def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
     m = model_mod.load(args.model)
-    acts_out = open(args.emit_activations, "w", encoding="utf-8") if args.emit_activations else None
     oov = total_forms = 0
     stats = parser_mod.ParseStats()
     t0 = time.perf_counter()
-    chunk_size = args.threads * parser_mod.LOCKSTEP_SENTENCES  # a full group per thread
-    fin = _open_in(args.input)
-    fout = _open_out(args.output)
-    try:
-        block_iter = iter_conllu_blocks(fin)
-        while True:
-            chunk = []
-            for s in block_iter:
-                chunk.append(s)
-                if len(chunk) >= chunk_size:
-                    break
-            if not chunk:
-                break
-            for s in chunk:
-                for t in s.tokens:
-                    total_forms += 1
-                    oov += t.form.lower() not in m.forms
-            hidden: list[np.ndarray] = []  # the tagger rows each sentence was annotated from
-            parsed, chunk_stats = parser_mod.parse_corpus(
-                chunk, m, threads=args.threads, activations=hidden, tag_only=tag_only
-            )
-            stats.add(chunk_stats)
-            if acts_out:
-                for s, h in zip(chunk, hidden):
+    with ExitStack() as files:
+        fin = files.enter_context(_open_in(args.input))
+        fout = files.enter_context(_open_out(args.output))
+        acts_out = (
+            files.enter_context(open(args.emit_activations, "w", encoding="utf-8"))
+            if args.emit_activations else None
+        )
+        for parsed, hidden, group_stats in parser_mod.decode_groups(
+            iter_conllu_blocks(fin), m, threads=args.threads, tag_only=tag_only
+        ):
+            stats.add(group_stats)
+            for s, h in zip(parsed, hidden):
+                total_forms += len(s)
+                oov += sum(t.form.lower() not in m.forms for t in s.tokens)
+                if acts_out:
                     _dump_activations(acts_out, s, h)
             fout.write(corpus_mod.emit_conllu(parsed, use_predicted=True))
             fout.flush()
-    finally:
-        if fin is not sys.stdin:
-            fin.close()
-        if fout is not sys.stdout:
-            fout.close()
-        if acts_out:
-            acts_out.close()
     seconds = time.perf_counter() - t0
     if total_forms and oov / total_forms > 0.5:
         log.warning(

@@ -39,15 +39,24 @@ def is_punctuation(token) -> bool:
     )
 
 
+def _check_aligned(gold: list[Sentence], predicted: list[Sentence]) -> None:
+    """A StackpropError unless both corpora hold the same sentences of the
+    same forms."""
+    if len(gold) != len(predicted):
+        raise StackpropError(
+            f"corpus size mismatch: {len(gold)} gold vs {len(predicted)} predicted"
+        )
+    for g, p in zip(gold, predicted):
+        if len(g) != len(p) or any(gt.form != pt.form for gt, pt in zip(g.tokens, p.tokens)):
+            raise StackpropError(f"tokenization mismatch in sentence {g.id}")
+
+
 def attachment_scores(
     gold: list[Sentence], predicted: list[Sentence], include_punct: bool = True
 ) -> EvalReport:
     """UAS/LAS (and POS accuracy when predicted tags are present) over a
     corpus; punctuation tokens are dropped when ``include_punct`` is off."""
-    if len(gold) != len(predicted):
-        raise StackpropError(
-            f"corpus size mismatch: {len(gold)} gold vs {len(predicted)} predicted"
-        )
+    _check_aligned(gold, predicted)
     n_tokens = 0
     head_ok = 0
     both_ok = 0
@@ -55,10 +64,6 @@ def attachment_scores(
     tag_seen = 0
     per_sentence = []
     for g, p in zip(gold, predicted):
-        if len(g) != len(p) or any(
-            gt.form != pt.form for gt, pt in zip(g.tokens, p.tokens)
-        ):
-            raise StackpropError(f"tokenization mismatch in sentence {g.id}")
         s_total = s_head = s_both = 0
         for gt, pt in zip(g.tokens, p.tokens):
             if not include_punct and is_punctuation(gt):
@@ -94,6 +99,7 @@ def attachment_scores(
 
 
 def tag_accuracy(gold: list[Sentence], predicted: list[Sentence]) -> float:
+    _check_aligned(gold, predicted)
     total = ok = 0
     for g, p in zip(gold, predicted):
         for gt, pt in zip(g.tokens, p.tokens):

@@ -12,8 +12,11 @@ parser forward.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import partial
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -95,16 +98,15 @@ def _decode(
     sentences: list[Sentence],
     model: StackedModel,
     fill_tags: Optional[bool],
-    stats: ParseStats,
     tag_only: bool = False,
-) -> tuple[list[Sentence], list[np.ndarray]]:
+) -> tuple[list[Sentence], list[np.ndarray], ParseStats]:
     """Greedy lockstep decode of a group of sentences: the group is tagged
     once and its token tables built once, then at every step one parser
     forward scores all configurations still live; each applies its best
     legal action, and a configuration is retired once terminal. Returns the
-    parsed sentences and each one's tagger hidden rows, and adds to
-    ``stats``. ``tag_only`` stops after tagging: each sentence gets the
-    tagger's tags and keeps its input heads and labels."""
+    parsed sentences, each one's tagger hidden rows and the group's counts.
+    ``tag_only`` stops after tagging: each sentence gets the tagger's tags
+    and keeps its input heads and labels."""
     if any(len(s) == 0 for s in sentences):
         raise StackpropError("cannot parse an empty sentence")
     pred_tags, acts = tag_sentences(sentences, model.tagger, model.tvocabs, model.tags)
@@ -113,7 +115,7 @@ def _decode(
     tables = token_tables(model, params, acts)
     configs = [initial(s) for s in sentences]
     live = [] if tag_only else list(range(len(sentences)))
-    n_steps = n_batches = 0
+    stats = ParseStats(sentences=len(sentences), tokens=bounds[-1])
     while live:
         logits = score_actions(
             [configs[i] for i in live], [bounds[i] for i in live], model, tables, params
@@ -126,8 +128,8 @@ def _decode(
                 )
             scores[~mask] = -np.inf
             apply(configs[i], model.actions.decode(int(np.argmax(scores))), model.system)
-        n_steps += len(live)
-        n_batches += 1
+        stats.parser_evals += len(live)
+        stats.parser_batches += 1
         live = [i for i in live if not is_terminal(configs[i])]
     if fill_tags is None:
         fill_tags = not model.variant.stacked
@@ -147,11 +149,7 @@ def _decode(
             head, label = c.head[t.index], model.labels.string_of(c.label[t.index])
             tokens.append(replace(t, pred_head=head, pred_deprel=label, pred_upos=pred_upos))
         out.append(Sentence(tokens, id=sentence.id))
-    stats.sentences += len(sentences)
-    stats.tokens += bounds[-1]
-    stats.parser_evals += n_steps
-    stats.parser_batches += n_batches
-    return out, [acts.hidden[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return out, [acts.hidden[lo:hi] for lo, hi in zip(bounds, bounds[1:])], stats
 
 
 def parse_sentence(
@@ -165,7 +163,29 @@ def parse_sentence(
     system, or from the tagger softmax when ``fill_tags`` is true, which is
     the default for a variant that is not stacked).
     """
-    return _decode([sentence], model, fill_tags, ParseStats())[0][0]
+    return _decode([sentence], model, fill_tags)[0][0]
+
+
+def decode_groups(
+    sentences: Iterable[Sentence],
+    model: StackedModel,
+    threads: int = 1,
+    fill_tags: Optional[bool] = None,
+    tag_only: bool = False,
+) -> Iterator[tuple[list[Sentence], list[np.ndarray], ParseStats]]:
+    """Decode a stream in lockstep groups of consecutive sentences
+    (``LOCKSTEP_SENTENCES`` each), yielding each group's parsed sentences,
+    each sentence's tagger hidden rows and the group's counts, in input
+    order. The stream is read ``threads`` groups at a time, and each batch
+    is decoded on one thread pool that lasts for the whole stream when
+    ``threads > 1``. The groups do not depend on the thread count.
+    ``tag_only`` tags without parsing (see ``_decode``)."""
+    stream = iter(sentences)
+    groups = iter(lambda: list(islice(stream, LOCKSTEP_SENTENCES)), [])
+    work = partial(_decode, model=model, fill_tags=fill_tags, tag_only=tag_only)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for batch in iter(lambda: list(islice(groups, max(threads, 1))), []):
+            yield from (pool.map if pool else map)(work, batch)
 
 
 def parse_corpus(
@@ -173,35 +193,12 @@ def parse_corpus(
     model: StackedModel,
     threads: int = 1,
     fill_tags: Optional[bool] = None,
-    activations: Optional[list[np.ndarray]] = None,
-    tag_only: bool = False,
 ) -> tuple[list[Sentence], ParseStats]:
-    """Parse a corpus in lockstep groups of consecutive sentences
-    (``LOCKSTEP_SENTENCES`` each), mapped over a thread pool when
-    ``threads > 1``. The groups do not depend on the thread count, and the
-    output order matches the input order. When ``activations`` is a list,
-    each sentence's (n, H) tagger hidden rows, computed for decoding, are
-    appended to it in input order. ``tag_only`` tags without parsing (see
-    ``_decode``)."""
-    groups = [
-        sentences[i : i + LOCKSTEP_SENTENCES]
-        for i in range(0, len(sentences), LOCKSTEP_SENTENCES)
-    ]
-
-    def work(group: list[Sentence]) -> tuple[list[Sentence], list[np.ndarray], ParseStats]:
-        local = ParseStats()
-        return (*_decode(group, model, fill_tags, local, tag_only), local)
-
-    if threads <= 1:
-        results = [work(g) for g in groups]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, groups))
+    """Parse a corpus through ``decode_groups``; the output order matches
+    the input order."""
     parsed: list[Sentence] = []
     stats = ParseStats()
-    for group_parsed, hidden, local in results:
-        parsed += group_parsed
-        if activations is not None:
-            activations += hidden
-        stats.add(local)
+    for group, _, group_stats in decode_groups(sentences, model, threads, fill_tags):
+        parsed += group
+        stats.add(group_stats)
     return parsed, stats

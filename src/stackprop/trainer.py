@@ -367,9 +367,11 @@ def train_tagger_only(
 ) -> None:
     stream = _Stream(data.n_tag_examples, rng)
     budget = epochs * data.n_tag_examples
+    updates = 0
     while budget > 0:
         b = min(opt.batch_size, budget)
-        tagger_batch_update(model, data, stream.take(b), opt)
+        updates += 1
+        _finite(tagger_batch_update(model, data, stream.take(b), opt), "TAGGER", updates)
         budget -= b
     model.tagger.settle_averages()
 

@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
+import sys
 
+import numpy as np
 import pytest
 
-from stackprop import trainer
+from stackprop import cli as cli_mod, trainer
 from stackprop.cli import (
     SETTING_FIELDS,
     TRAIN_DEFAULTS,
@@ -288,6 +291,25 @@ def test_jackknife_writes_folds_and_corpus(workdir):
     assert len(tagged) == 20
 
 
+def test_jackknife_to_stdout_leaves_it_open(workdir, monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    rc = main(["jackknife", "--train", str(workdir / "train.conllu"), "--output", "-",
+               "--jackknife-folds", "2", "--seed", "2"] + TINY_FLAGS)
+    assert rc == 0
+    assert not out.closed
+    assert len(parse_conllu(out.getvalue())) == 20
+
+
+def test_jackknife_divergence_is_a_data_error(workdir):
+    out = workdir / "diverged.conllu"
+    with np.errstate(all="ignore"):
+        rc = main(["jackknife", "--train", str(workdir / "train.conllu"), "--output", str(out),
+                   "--jackknife-folds", "2"] + TINY_FLAGS + ["--eta0", "1e6"])
+    assert rc == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "jackknife"])
 def test_one_jackknife_fold_is_a_config_error(workdir, monkeypatch, command):
     """A single fold is rejected with the settings, before any model is built."""
@@ -373,6 +395,24 @@ def test_exit_code_usage_on_bad_path(workdir):
     rc = main(["train", "--train", str(workdir / "nope.conllu"), "--model",
                str(workdir / "x.model")] + TINY_FLAGS)
     assert rc == 1
+
+
+@pytest.mark.parametrize("missing", ["--input", "--output"])
+def test_unopenable_file_leaves_no_file_open(workdir, trained_model, monkeypatch, missing):
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli_mod, "open", tracking_open, raising=False)
+    paths = {"--input": str(workdir / "dev.conllu"), "--output": os.devnull}
+    paths[missing] = str(workdir / "no_such_dir" / "x.conllu")
+    rc = main(["parse", "--model", str(trained_model), "--input", paths["--input"],
+               "--output", paths["--output"], "--emit-activations",
+               str(workdir / "unopened_acts.tsv")])
+    assert rc == 1
+    assert all(f.closed for f in opened)
 
 
 def test_exit_code_data_on_malformed_corpus(workdir, trained_model):

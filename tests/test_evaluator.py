@@ -102,6 +102,16 @@ def test_pos_accuracy_reported_when_tagged():
     assert tag_accuracy([g], [p]) == pytest.approx(0.5)
 
 
+def test_tag_accuracy_rejects_unaligned_corpora():
+    g1, g2 = make_sentence([0, 1], tags=["A", "B"], sid="a"), make_sentence([0], sid="b")
+    p1 = with_predictions(g1, tags=["A", "B"])
+    with pytest.raises(StackpropError, match="corpus size mismatch"):
+        tag_accuracy([g1, g2], [p1])
+    short = with_predictions(make_sentence([0], tags=["A"], sid="a"), tags=["A"])
+    with pytest.raises(StackpropError, match="tokenization mismatch in sentence a"):
+        tag_accuracy([g1], [short])
+
+
 def test_permutation_invariance():
     g1, g2 = make_sentence([0, 1], sid="a"), make_sentence([2, 0], sid="b")
     p1, p2 = with_predictions(g1, heads=[0, 2]), with_predictions(g2)

@@ -16,6 +16,7 @@ from stackprop.model import (
 )
 from stackprop.nnkernel import forward_batch
 from stackprop.parser import (
+    decode_groups,
     feature_tokens,
     featurize,
     label_features,
@@ -339,6 +340,8 @@ def test_parse_corpus_threaded_identical_output():
     seq, _ = parse_corpus(corpus, m, threads=1)
     par, _ = parse_corpus(corpus, m, threads=4)
     assert emit_conllu(seq, use_predicted=True) == emit_conllu(par, use_predicted=True)
+    inline, _ = parse_corpus(corpus, m, threads=0)  # below 1 runs inline, as 1 does
+    assert emit_conllu(seq, use_predicted=True) == emit_conllu(inline, use_predicted=True)
 
 
 def _row_counter(module, rows):
@@ -397,7 +400,8 @@ def test_empty_sentence_in_corpus_raises_before_decoding(monkeypatch):
 def test_decode_output_independent_of_batching(n, seed, swap, mode, scale, group, data):
     """Random corpora and random parser weights: lockstep decoding gives the
     same CoNLL-U whether sentences go one at a time, as one corpus, over
-    threads, in groups of any size, or split into two corpora."""
+    threads, in groups of any size, split into two corpora, or streamed
+    group by group."""
     corpus = generate_corpus(n, seed=seed, p_nonproj=0.3)
     m = build_model(mode, corpus, TCFG, PCFG, swap=swap, seed=seed)
     rng = np.random.default_rng(seed)
@@ -416,3 +420,39 @@ def test_decode_output_independent_of_batching(n, seed, swap, mode, scale, group
         head, _ = parse_corpus(corpus[:k], m)
         tail, _ = parse_corpus(corpus[k:], m)
         assert conllu(head + tail) == expected
+        for threads in (1, 3):
+            groups = decode_groups(iter(corpus), m, threads=threads)
+            assert conllu([s for parsed, _, _ in groups for s in parsed]) == expected
+
+
+def test_decode_groups_reads_one_batch_ahead(monkeypatch):
+    """A stream is read ``threads`` groups at a time: the first group comes
+    out before more than ``threads * LOCKSTEP_SENTENCES`` sentences are
+    pulled, and one thread pool serves the whole stream."""
+    corpus = generate_corpus(20, seed=21)
+    m = tiny_model(corpus, seed=2)
+    monkeypatch.setattr(parser_mod, "LOCKSTEP_SENTENCES", 3)
+    pools = []
+    real_pool = parser_mod.ThreadPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(parser_mod, "ThreadPoolExecutor", counting_pool)
+    for threads in (1, 2):
+        pulled = []
+
+        def stream():
+            for s in corpus:
+                pulled.append(s)
+                yield s
+
+        groups = decode_groups(stream(), m, threads=threads)
+        first, hidden, stats = next(groups)
+        assert len(first) == len(hidden) == stats.sentences == 3
+        assert len(first) <= len(pulled) <= threads * 3
+        rest = [parsed for parsed, _, _ in groups]
+        assert [len(g) for g in rest] == [3] * 5 + [2]
+        assert len(pulled) == len(corpus)
+    assert pools == [(2,)]

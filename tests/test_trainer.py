@@ -470,6 +470,17 @@ def test_divergence_raises_at_first_nonfinite_loss():
         train_variant(WINDOW, generate_corpus(8, seed=1), None, s)
 
 
+def test_tagger_alone_divergence_raises():
+    """Tagger-alone training (each jackknife fold, and a pipeline's own
+    tagger) checks its losses as the interleaved loop does."""
+    s = tiny_settings(eta0=1e6)
+    s.jackknife_folds = 2
+    with np.errstate(all="ignore"), pytest.raises(
+        StackpropError, match=r"diverged: TAGGER loss is nan at update \d+"
+    ):
+        jackknife_tags(generate_corpus(30, seed=1), s)
+
+
 def test_swap_training_on_nonprojective_corpus():
     corpus = generate_corpus(16, seed=12, p_nonproj=0.5)
     from stackprop.corpus import is_projective
