@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -80,6 +79,11 @@ class Vocab:
     def id_of(self, s: str) -> int:
         """Id of ``s``, falling back to UNKNOWN for out-of-vocabulary strings."""
         return self._ids.get(s, UNKNOWN_ID)
+
+    def ids_of(self, strings: Iterable[str]) -> list[int]:
+        """``id_of`` of each string."""
+        get = self._ids.get
+        return [get(s, UNKNOWN_ID) for s in strings]
 
     def string_of(self, i: int) -> str:
         return self._strings[i]
@@ -251,22 +255,23 @@ def projective_order(sentence: Sentence) -> dict[int, int]:
     the ranks equal the surface order.
     """
     heads = sentence.gold_heads()
-    children: list[list[int]] = [[] for _ in range(len(heads) + 1)]
+    left: list[list[int]] = [[] for _ in range(len(heads) + 1)]
+    right: list[list[int]] = [[] for _ in range(len(heads) + 1)]
     for d, h in enumerate(heads, start=1):
-        children[h].append(d)
+        (left if d < h else right)[h].append(d)
     order: dict[int, int] = {}
-    work = [0]  # nodes to visit, the root first; -t ranks token t
+    # nodes to visit, the next one last; -t ranks token t after its left subtrees
+    work = right[0][::-1]
     while work:
         node = work.pop()
-        kids = children[node] if node >= 0 else None
-        if node and not kids:  # a leaf, or -t once t's left subtrees are ranked
-            order[abs(node)] = len(order) + 1
-            continue
-        split = bisect_left(kids, node)
-        work += reversed(kids[split:])
-        if node:
+        if node < 0:
+            order[-node] = len(order) + 1
+        elif left[node] or right[node]:
+            work += right[node][::-1]
             work.append(-node)
-        work += reversed(kids[:split])
+            work += left[node][::-1]
+        else:  # a leaf
+            order[node] = len(order) + 1
     return order
 
 

@@ -125,6 +125,7 @@ def cascade_breakdown(
     sizes = (len(gold), len(parsed), len(reference_tags))
     if len(set(sizes)) > 1:
         raise StackpropError(f"corpus size mismatch: {sizes} gold/parsed/reference sentences")
+    _check_aligned(gold, parsed)
     err_total = err_ok = rest_total = rest_ok = 0
     for g, p, tags in zip(gold, parsed, reference_tags):
         if len(tags) != len(g):

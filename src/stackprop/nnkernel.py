@@ -54,10 +54,12 @@ SAVE_CHUNK_BYTES = 1 << 20  # most bytes of a block written at once (bounds a sa
 # Work splitting. Piece boundaries fall on multiples of ALIGN elements, so
 # each piece's BLAS tiles line up with the whole product's. A product piece
 # does at least GEMM_FLOOR multiply-adds, which keeps it above OpenBLAS's
-# small-matrix path (at most 1e6; it rounds differently) and worth a handoff;
-# an update piece covers at least ASGD_FLOOR elements.
+# small-matrix path (at most 1e6; it rounds differently) and worth a
+# handoff. At default dims a 2-row parser forward splits, and a 1-row one, a
+# matrix-vector product that gains nothing from a split, does not. An update
+# piece covers at least ASGD_FLOOR elements.
 ALIGN = 64
-GEMM_FLOOR = 1 << 21
+GEMM_FLOOR = 1 << 20
 ASGD_FLOOR = 1 << 17
 
 

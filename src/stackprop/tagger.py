@@ -72,24 +72,25 @@ class TaggerActivations:
 
 
 def cap_shape(form: str) -> int:
-    letters = [ch for ch in form if ch.isalpha()]
+    letters = list(filter(str.isalpha, form))
     if not letters:
         return CAP_NOLETTERS
-    if all(ch.isupper() for ch in letters):
+    if all(map(str.isupper, letters)):
         return CAP_ALLCAPS
-    if form[0].isupper() and all(ch.islower() for ch in letters[1:]):
+    if form[0].isupper() and all(map(str.islower, letters[1:])):
         return CAP_INITIAL
-    if all(ch.islower() for ch in letters):
+    if all(map(str.islower, letters)):
         return CAP_LOWER
     return CAP_MIXED
 
 
 def symbol_flags(form: str) -> tuple[int, int, int]:
     """(has-hyphen, has-digit, has-punctuation) indicator values."""
-    has_hyphen = "-" in form
+    if form.isalpha():  # letters are none of the three
+        return SYM_ABSENT, SYM_ABSENT, SYM_ABSENT
     has_digit = any(map(str.isdigit, form))
     has_punct = any(unicodedata.category(ch)[0] == "P" for ch in form)
-    return tuple(SYM_PRESENT if f else SYM_ABSENT for f in (has_hyphen, has_digit, has_punct))
+    return tuple(SYM_PRESENT if f else SYM_ABSENT for f in ("-" in form, has_digit, has_punct))
 
 
 def build_tagger_vocabs(sentences: list[Sentence], words: Vocab) -> TaggerVocabs:
@@ -124,11 +125,11 @@ def encode_sentence(sentences: list[Sentence], vocabs: TaggerVocabs) -> dict[str
         dtype=np.int64,
     )
     lows = [form.lower() for form in distinct]
-    values = {"caps": [cap_shape(form) for form in distinct]}
+    values = {"caps": list(map(cap_shape, distinct))}
     for name, cut in AFFIXES.items():
-        values[name] = [vocabs.affixes[name].id_of(cut(low)) for low in lows]
-    values["words"] = [vocabs.words.id_of(low) for low in lows]
-    symbols = np.array([symbol_flags(form) for form in distinct], dtype=np.int64).reshape(-1, 3)
+        values[name] = vocabs.affixes[name].ids_of(map(cut, lows))
+    values["words"] = vocabs.words.ids_of(lows)
+    symbols = np.array(list(map(symbol_flags, distinct)), dtype=np.int64).reshape(-1, 3)
     # WORD_WINDOW NULL slots before every sentence and after the last keep
     # every window inside its token's sentence
     sentence_of = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])

@@ -50,7 +50,7 @@ from stackprop.tagger import (
     load_pretrained_embeddings,
     tag_sentences,
 )
-from stackprop.transition import template_rows, unroll
+from stackprop.transition import N_LABEL_TEMPLATES, template_rows, unroll
 
 log = logging.getLogger("stackprop")
 
@@ -118,23 +118,28 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
         prepared.append(s)
 
     base = skipped = 0
-    steps: list[tuple] = []
+    tokens: list[int] = []  # N_TOKEN_TEMPLATES per step
+    labels: list[int] = []  # N_LABEL_TEMPLATES per step
+    gold: list[int] = []
     step_bases: list[int] = []
     kept: list[Sentence] = []
+    encode = model.actions.encode
     for s in prepared:
         try:
-            deriv = unroll(s, model.system, model.labels, model.tags)
+            deriv = unroll(s, model.system, model.labels, model.tags, model.actions)
         except UnrollError as e:
             skipped += 1
             log.warning("skipping unrollable sentence: %s", e)
             continue
         kept.append(s)
-        steps += deriv.steps
+        for step_tokens, step_labels, action in deriv.steps:
+            tokens += step_tokens
+            labels += step_labels
+            gold.append(encode(action))
         step_bases += [base] * len(deriv)
         base += len(s)
     if not kept:
         raise StackpropError("no trainable sentences after unrolling")
-    tokens, labels, actions = zip(*steps)
     return EncodedCorpus(
         sentences=kept,
         tag_inputs=encode_sentence(kept, model.tvocabs),
@@ -142,8 +147,8 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
             [model.tags.class_index(t.gold_upos) for s in kept for t in s.tokens], dtype=np.int64
         ),
         deriv_tokens=template_rows(tokens, step_bases),
-        deriv_labels=np.array(labels, dtype=np.int64),
-        deriv_gold=np.array([model.actions.encode(a) for a in actions], dtype=np.int64),
+        deriv_labels=np.array(labels, dtype=np.int64).reshape(-1, N_LABEL_TEMPLATES),
+        deriv_gold=np.array(gold, dtype=np.int64),
         skipped=skipped,
     )
 

@@ -10,7 +10,6 @@ offline training examples.
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,11 +23,13 @@ LEFT_ARC = "LEFT_ARC"
 RIGHT_ARC = "RIGHT_ARC"
 SWAP = "SWAP"
 SHIFT_TAG = "SHIFT_TAG"
+KINDS = (SHIFT, SHIFT_TAG, LEFT_ARC, RIGHT_ARC, SWAP)
 
 ROOT = 0  # stack sentinel; never a token index
 NULL_TOKEN = -1  # template slot with no token (or the root sentinel)
 N_TOKEN_TEMPLATES = 20
 N_LABEL_TEMPLATES = 12
+_NULLS = [NULL_TOKEN] * N_TOKEN_TEMPLATES
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,11 @@ class Action:
             raise StackpropError(f"label mismatch for action kind {self.kind}")
         if (self.tag is not None) != (self.kind == SHIFT_TAG):
             raise StackpropError(f"tag mismatch for action kind {self.kind}")
+
+
+# the actions that carry no label or tag, shared by every derivation and space
+SHIFT_ACTION = Action(SHIFT)
+SWAP_ACTION = Action(SWAP)
 
 
 class ParserConfiguration:
@@ -92,30 +98,36 @@ def is_terminal(c: ParserConfiguration) -> bool:
     return len(c.stack) == 1 and not c.queue
 
 
-def legal_actions(c: ParserConfiguration, system: TransitionSystem) -> set[str]:
-    """Legal action kinds for a configuration.
+def is_legal(c: ParserConfiguration, kind: str, system: TransitionSystem) -> bool:
+    """Whether an action of ``kind`` applies to ``c``: the one legality rule
+    that ``apply``, ``legal_actions`` and ``ActionSpace.legal_mask`` read.
 
     SWAP permissibility follows the surface-order rule: the second-top element
     must be a non-root token that precedes the top in the original sentence,
     which bounds the number of swaps and is decidable without gold trees.
     """
-    kinds: set[str] = set()
-    if c.queue:
-        kinds.add(SHIFT_TAG if system.joint else SHIFT)
-    if len(c.stack) >= 2:
-        s0, s1 = c.stack[-1], c.stack[-2]
-        if s1 != ROOT:
-            kinds.add(LEFT_ARC)
-        kinds.add(RIGHT_ARC)
-        if system.swap and s1 != ROOT and s1 < s0:
-            kinds.add(SWAP)
-    return kinds
+    if kind == SHIFT or kind == SHIFT_TAG:
+        return bool(c.queue) and (kind == SHIFT_TAG) == system.joint
+    stack = c.stack
+    if len(stack) < 2:
+        return False
+    if kind == RIGHT_ARC:
+        return True
+    s1 = stack[-2]
+    if kind == LEFT_ARC:
+        return s1 != ROOT
+    return kind == SWAP and system.swap and ROOT != s1 < stack[-1]
+
+
+def legal_actions(c: ParserConfiguration, system: TransitionSystem) -> set[str]:
+    """Legal action kinds for a configuration (``is_legal``)."""
+    return {kind for kind in KINDS if is_legal(c, kind, system)}
 
 
 def apply(c: ParserConfiguration, a: Action, system: TransitionSystem) -> ParserConfiguration:
     """Apply a legal action to ``c`` in place; returns ``c``."""
     kind = a.kind
-    if kind not in legal_actions(c, system):
+    if not is_legal(c, kind, system):
         raise StackpropError(f"illegal action {a} in configuration {c}")
     stack = c.stack
     if kind == SHIFT or kind == SHIFT_TAG:
@@ -143,15 +155,14 @@ def feature_tokens(c: ParserConfiguration) -> list[int]:
     children, then leftmost-of-leftmost and rightmost-of-rightmost.
     """
     stack, queue, left, right = c.stack, c.queue, c.left, c.right
-    out = [NULL_TOKEN] * N_TOKEN_TEMPLATES
-    for i, token in enumerate(reversed(stack[-4:])):
-        if token != ROOT:
-            out[i] = token
-    for i, token in enumerate(reversed(queue[-4:])):
-        out[4 + i] = token
-    for si, token in enumerate(reversed(stack[-2:])):
-        if token == ROOT:
-            continue
+    depth = len(stack)
+    out = stack[:-5:-1]  # the top four stack slots, top first
+    if depth <= 4:  # the root sentinel is among the top four
+        out[depth - 1 :] = _NULLS[: 5 - depth]
+    out += queue[:-5:-1]
+    out += _NULLS[: N_TOKEN_TEMPLATES - len(out)]
+    for si in (0, 1)[: depth - 1]:  # the top two stack slots that hold tokens
+        token = out[si]
         base = 8 + 4 * si
         lc, rc = left[token], right[token]
         if lc:
@@ -177,10 +188,10 @@ def label_features(c: ParserConfiguration, tokens: Optional[list[int]] = None) -
     return [NULL_ID if t == NULL_TOKEN else label[t] for t in tokens[8:]]
 
 
-def template_rows(tokens: Sequence[Sequence[int]], bases: Sequence[int]) -> np.ndarray:
-    """(B, 20) rows of the per-token tables: token ``t`` of step ``i`` is
-    row ``bases[i] + t - 1`` (``bases[i]`` is its sentence's first row);
-    empty slots stay -1."""
+def template_rows(tokens: Sequence[int], bases: Sequence[int]) -> np.ndarray:
+    """(B, 20) rows of the per-token tables from B steps' template tokens,
+    concatenated: token ``t`` of step ``i`` is row ``bases[i] + t - 1``
+    (``bases[i]`` is its sentence's first row); empty slots stay -1."""
     t = np.array(tokens, dtype=np.int64).reshape(-1, N_TOKEN_TEMPLATES)
     shift = np.asarray(bases, dtype=np.int64)[:, None] - 1
     return np.where(t != NULL_TOKEN, t + shift, NULL_TOKEN)
@@ -192,10 +203,60 @@ def featurize(
     """(B, 20) template rows (``template_rows``) and (B, 12) label ids of B
     configurations; ``configs[i]`` belongs to the sentence whose first token
     is row ``bases[i]`` of the per-token tables."""
-    tokens = [feature_tokens(c) for c in configs]
-    labels = [label_features(c, t) for c, t in zip(configs, tokens)]
-    labels = np.array(labels, dtype=np.int64).reshape(-1, N_LABEL_TEMPLATES)
-    return template_rows(tokens, bases), labels
+    tokens: list[int] = []
+    labels: list[int] = []
+    for c in configs:
+        step_tokens = feature_tokens(c)
+        tokens += step_tokens
+        labels += label_features(c, step_tokens)
+    return (
+        template_rows(tokens, bases),
+        np.array(labels, dtype=np.int64).reshape(-1, N_LABEL_TEMPLATES),
+    )
+
+
+@dataclass
+class GoldRecord:
+    """What the static oracle reads of one gold tree, indexed by token (0 is
+    the root sentinel): gold heads, each head's number of gold dependents,
+    the LEFT_ARC and RIGHT_ARC actions that attach each token with its gold
+    label, the action that shifts each token (SHIFT, or SHIFT_TAG with its
+    gold tag in the joint system) and, under SWAP only, each token's
+    ``projective_order`` rank. The actions are those of an ``ActionSpace``,
+    so a derivation builds none."""
+
+    head: list[int]
+    n_deps: list[int]
+    left_arc: list[Optional[Action]]
+    right_arc: list[Optional[Action]]
+    shift: list[Optional[Action]]
+    porder: Optional[list[int]]
+
+
+def gold_record(gold: Sentence, space: ActionSpace) -> GoldRecord:
+    """The oracle's ``GoldRecord`` of a sentence over ``space``; a gold label
+    or tag outside the space raises ``StackpropError``."""
+    system, actions, index = space.system, space.actions, space.index
+    n = len(gold)
+    head, n_deps = [-1], [0] * (n + 1)
+    # the sentinel (index 0) is never attached or shifted
+    left_arc: list[Optional[Action]] = [None]
+    right_arc: list[Optional[Action]] = [None]
+    shift: list[Optional[Action]] = [None] + [SHIFT_ACTION] * n
+    for d, t in enumerate(gold.tokens, start=1):
+        head.append(t.gold_head)
+        n_deps[t.gold_head] += 1
+        label = space.labels.id_of(t.gold_deprel)
+        left_arc.append(actions[index(LEFT_ARC, label=label)])
+        right_arc.append(actions[index(RIGHT_ARC, label=label)])
+        if system.joint:
+            shift[d] = actions[index(SHIFT_TAG, tag=space.tags.id_of(t.gold_upos))]
+    porder = None
+    if system.swap:
+        porder = [0] * (n + 1)
+        for token, rank in projective_order(gold).items():
+            porder[token] = rank
+    return GoldRecord(head, n_deps, left_arc, right_arc, shift, porder)
 
 
 def oracle(
@@ -204,8 +265,7 @@ def oracle(
     system: TransitionSystem,
     labels: Vocab,
     tags: Optional[Vocab] = None,
-    porder: Optional[dict[int, int]] = None,
-    n_deps: Optional[Counter] = None,
+    record: Optional[GoldRecord] = None,
 ) -> Action:
     """Static-oracle action for a configuration reachable from gold replay.
 
@@ -214,33 +274,24 @@ def oracle(
     inverted with respect to the projective order, then SHIFT. The guard on
     LEFT_ARC matters only under SWAP, where stack order can put a token next
     to its head before the token's buffer-side dependents have attached.
-    ``porder`` (``projective_order``) and ``n_deps`` (gold dependents per
-    head) are computed when not given. A gold replay builds gold arcs only,
-    so a token with as many dependents as in the gold tree is complete.
+    The oracle reads ``record`` (``gold_record``, built over a fresh
+    ``ActionSpace`` when not given). A gold replay builds gold arcs only, so
+    a token with as many dependents as in the gold tree is complete.
     """
-    if n_deps is None:
-        n_deps = Counter(t.gold_head for t in gold.tokens)
-
-    def complete(token: int) -> bool:
-        return len(c.left[token]) + len(c.right[token]) == n_deps[token]
-
-    if len(c.stack) >= 2:
-        s0, s1 = c.stack[-1], c.stack[-2]
-        if s1 != ROOT and gold.token(s1).gold_head == s0 and complete(s1):
-            return Action(LEFT_ARC, label=labels.id_of(gold.token(s1).gold_deprel))
-        if gold.token(s0).gold_head == s1 and complete(s0):
-            return Action(RIGHT_ARC, label=labels.id_of(gold.token(s0).gold_deprel))
-        if system.swap and s1 != ROOT and s1 < s0:
-            if porder is None:
-                porder = projective_order(gold)
-            if porder[s1] > porder[s0]:
-                return Action(SWAP)
+    if record is None:
+        record = gold_record(gold, ActionSpace(labels, tags, system, NULL_ID))
+    stack = c.stack
+    if len(stack) >= 2:
+        s0, s1 = stack[-1], stack[-2]
+        head, n_deps, left, right = record.head, record.n_deps, c.left, c.right
+        if s1 != ROOT and head[s1] == s0 and len(left[s1]) + len(right[s1]) == n_deps[s1]:
+            return record.left_arc[s1]
+        if head[s0] == s1 and len(left[s0]) + len(right[s0]) == n_deps[s0]:
+            return record.right_arc[s0]
+        if system.swap and ROOT != s1 < s0 and record.porder[s1] > record.porder[s0]:
+            return SWAP_ACTION
     if c.queue:
-        if system.joint:
-            if tags is None:
-                raise StackpropError("joint oracle needs a tag vocabulary")
-            return Action(SHIFT_TAG, tag=tags.id_of(gold.token(c.queue[-1]).gold_upos))
-        return Action(SHIFT)
+        return record.shift[c.queue[-1]]
     raise UnrollError(
         f"no oracle action for sentence {gold.id} at {c} "
         "(non-projective tree without SWAP?)"
@@ -268,23 +319,25 @@ def unroll(
     system: TransitionSystem,
     labels: Vocab,
     tags: Optional[Vocab] = None,
+    space: Optional[ActionSpace] = None,
 ) -> Derivation:
     """Unroll a gold tree into its oracle derivation, featurizing each
-    configuration before its action is applied.
+    configuration before its action is applied. The steps carry the actions
+    of ``space``, the ``ActionSpace`` over ``labels``, ``tags`` and
+    ``system`` (built when not given).
 
     Arc-standard derivations have exactly 2n steps; SWAP adds at most one
     step per inverted token pair, which bounds the loop.
     """
     n = len(gold)
-    porder = projective_order(gold) if system.swap else None
-    n_deps = Counter(t.gold_head for t in gold.tokens)
+    record = gold_record(gold, space or ActionSpace(labels, tags, system, NULL_ID))
     limit = 2 * n + n * (n - 1) // 2 + 1
     c = initial(gold)
     steps: list[tuple[list[int], list[int], Action]] = []
-    while not is_terminal(c):
+    while len(c.stack) > 1 or c.queue:  # not is_terminal(c)
         if len(steps) >= limit:
             raise UnrollError(f"derivation for sentence {gold.id} did not terminate")
-        a = oracle(c, gold, system, labels, tags, porder, n_deps)
+        a = oracle(c, gold, system, labels, tags, record)
         tokens = feature_tokens(c)
         steps.append((tokens, label_features(c, tokens), a))
         apply(c, a, system)
@@ -306,7 +359,8 @@ class ActionSpace:
 
     Index layout: the shift block first (a single SHIFT, or one SHIFT_TAG per
     tag class in the joint system), then LEFT_ARC per label class, then
-    RIGHT_ARC per label class, then SWAP when enabled.
+    RIGHT_ARC per label class, then SWAP when enabled. ``actions`` holds
+    each action once, in index order.
     """
 
     def __init__(
@@ -317,67 +371,72 @@ class ActionSpace:
         root_label: int,
         root_exclusive: bool = False,
     ):
+        if system.joint and tag_vocab is None:
+            raise StackpropError("joint action space needs a tag vocabulary")
         self.system = system
         self.labels = labels
         self.tags = tag_vocab
         self.root_label = root_label
         self.root_exclusive = root_exclusive
         self.n_shift = tag_vocab.n_classes if system.joint else 1
-        if system.joint and tag_vocab is None:
-            raise StackpropError("joint action space needs a tag vocabulary")
         self.n_labels = labels.n_classes
-        self.size = self.n_shift + 2 * self.n_labels + (1 if system.swap else 0)
+        label_ids = range(2, 2 + self.n_labels)
+        self.actions = [
+            *([Action(SHIFT_TAG, tag=k) for k in range(2, 2 + self.n_shift)]
+              if system.joint else [SHIFT_ACTION]),
+            *(Action(LEFT_ARC, label=k) for k in label_ids),
+            *(Action(RIGHT_ARC, label=k) for k in label_ids),
+            *([SWAP_ACTION] if system.swap else []),
+        ]
+        self.size = len(self.actions)
+        self._index = {(a.kind, a.label, a.tag): i for i, a in enumerate(self.actions)}
+        self._shift_kind = SHIFT_TAG if system.joint else SHIFT
         self._left0 = self.n_shift
         self._right0 = self.n_shift + self.n_labels
-        self._swap = self.size - 1 if system.swap else -1
+        # the labels an arc may take: all but a root-exclusive root label,
+        # and an attachment under the sentinel takes only that label
+        exclusive = root_exclusive and root_label >= 2
+        self._arc_labels = np.ones(self.n_labels, dtype=bool)
+        self._root_labels = np.ones(self.n_labels, dtype=bool)
+        if exclusive:
+            self._arc_labels[root_label - 2] = False
+            self._root_labels[:] = ~self._arc_labels
+
+    def index(self, kind: str, label: Optional[int] = None, tag: Optional[int] = None) -> int:
+        """Index of the action with these fields; ``StackpropError`` when
+        the space has none (an UNKNOWN or unseen label or tag, SWAP without
+        SWAP, a SHIFT kind of the other system)."""
+        i = self._index.get((kind, label, tag))
+        if i is None:
+            raise StackpropError(
+                f"no {kind} action with label id {label} and tag id {tag} in the action space"
+            )
+        return i
 
     def encode(self, a: Action) -> int:
-        if a.kind == SHIFT:
-            return 0
-        if a.kind == SHIFT_TAG:
-            return a.tag - 2
-        if a.kind == LEFT_ARC:
-            return self._left0 + (a.label - 2)
-        if a.kind == RIGHT_ARC:
-            return self._right0 + (a.label - 2)
-        return self._swap
+        return self.index(a.kind, a.label, a.tag)
 
     def decode(self, idx: int) -> Action:
-        if idx < self.n_shift:
-            if self.system.joint:
-                return Action(SHIFT_TAG, tag=idx + 2)
-            return Action(SHIFT)
-        if idx < self._right0:
-            return Action(LEFT_ARC, label=idx - self._left0 + 2)
-        if self.system.swap and idx == self._swap:
-            return Action(SWAP)
-        return Action(RIGHT_ARC, label=idx - self._right0 + 2)
+        return self.actions[idx]
 
     def legal_mask(self, c: ParserConfiguration) -> np.ndarray:
         """Boolean mask over action indices, including root rules: a token
         attaches under the sentinel only once the buffer is empty, so a
         greedy decode yields a single root; that attachment takes the
         dedicated root label, and a root-exclusive label is masked everywhere
-        else. ``legal_actions`` keeps the unrestricted kinds, so gold trees
-        with several root attachments still unroll."""
+        else. ``is_legal`` keeps the unrestricted kinds, so gold trees with
+        several root attachments still unroll."""
         mask = np.zeros(self.size, dtype=bool)
-        kinds = legal_actions(c, self.system)
-        if SHIFT in kinds or SHIFT_TAG in kinds:
+        system = self.system
+        if is_legal(c, self._shift_kind, system):
             mask[: self.n_shift] = True
-        if LEFT_ARC in kinds or RIGHT_ARC in kinds:
-            s1 = c.stack[-2]
-            label_ok = np.ones(self.n_labels, dtype=bool)
-            if self.root_exclusive and self.root_label >= 2:
-                label_ok[self.root_label - 2] = False
-            if LEFT_ARC in kinds:
-                mask[self._left0 : self._left0 + self.n_labels] = label_ok
-            if s1 != ROOT:
-                mask[self._right0 : self._right0 + self.n_labels] = label_ok
+        if is_legal(c, LEFT_ARC, system):
+            mask[self._left0 : self._right0] = self._arc_labels
+        if is_legal(c, RIGHT_ARC, system):
+            if c.stack[-2] != ROOT:
+                mask[self._right0 : self._right0 + self.n_labels] = self._arc_labels
             elif not c.queue:
-                if self.root_exclusive and self.root_label >= 2:
-                    mask[self._right0 + self.root_label - 2] = True
-                else:
-                    mask[self._right0 : self._right0 + self.n_labels] = label_ok
-        if SWAP in kinds:
-            mask[self._swap] = True
+                mask[self._right0 : self._right0 + self.n_labels] = self._root_labels
+        if is_legal(c, SWAP, system):
+            mask[-1] = True
         return mask

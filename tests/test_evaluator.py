@@ -159,6 +159,15 @@ def test_cascade_alignment_mismatch_errors():
         cascade_breakdown([g], [p], [["N"]])
 
 
+def test_cascade_rejects_a_parse_shorter_than_the_gold():
+    """A parsed sentence with fewer tokens than its gold sentence is refused,
+    not scored over the tokens they share."""
+    g = make_sentence([0, 1], tags=["V", "N"], sid="a")
+    short = with_predictions(make_sentence([0], tags=["V"], sid="a"))
+    with pytest.raises(StackpropError, match="tokenization mismatch in sentence a"):
+        cascade_breakdown([g], [short], [["V", "N"]])
+
+
 @pytest.mark.parametrize("short", ["gold", "parsed", "reference"])
 def test_cascade_corpus_size_mismatch_errors(short):
     """A corpus one sentence short is refused, not scored over the

@@ -1,3 +1,5 @@
+import unicodedata
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +41,40 @@ def test_cap_shape_values():
     assert cap_shape("iPhone") == CAP_MIXED
     assert cap_shape("123!") == CAP_NOLETTERS
     assert cap_shape("Re-enter") == CAP_INITIAL
+
+
+def reference_cap_shape(form):
+    """Capitalization shape decided one letter at a time."""
+    letters = [ch for ch in form if ch.isalpha()]
+    if not letters:
+        return CAP_NOLETTERS
+    if all(ch.isupper() for ch in letters):
+        return CAP_ALLCAPS
+    if form[0].isupper() and all(ch.islower() for ch in letters[1:]):
+        return CAP_INITIAL
+    if all(ch.islower() for ch in letters):
+        return CAP_LOWER
+    return CAP_MIXED
+
+
+def reference_symbol_flags(form):
+    """Symbol indicators decided one character at a time."""
+    flags = (
+        "-" in form,
+        any(ch.isdigit() for ch in form),
+        any(unicodedata.category(ch).startswith("P") for ch in form),
+    )
+    return tuple(SYM_PRESENT if f else SYM_ABSENT for f in flags)
+
+
+ODD_FORMS = ["ǅemal", "Ⅻ", "中文", "Aä¸­", "ÄB", "İs", "ß", "ﬁne", "٣", "x²", "½", "A-1", "3.5", "...", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(form=st.one_of(st.text(max_size=8), st.sampled_from(ODD_FORMS)))
+def test_form_features_match_a_per_character_reference(form):
+    assert cap_shape(form) == reference_cap_shape(form)
+    assert symbol_flags(form) == reference_symbol_flags(form)
 
 
 def token_ids(sentence, j, tv):

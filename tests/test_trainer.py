@@ -76,6 +76,15 @@ def test_encoded_corpus_shapes():
     assert data.skipped == 0
 
 
+def test_encoding_a_deprel_the_model_has_not_seen_raises():
+    """A gold label outside the model's label vocabulary is refused, not
+    encoded as another action's index."""
+    model, _, _ = fresh()
+    s = make_sentence([2, 0], forms=["a", "b"], labels=["never-seen", "root"])
+    with pytest.raises(StackpropError, match="action space"):
+        encode_training_data([s], model)
+
+
 def test_parser_update_leaves_tagger_softmax_untouched():
     model, data, s = fresh()
     rng = np.random.default_rng(0)

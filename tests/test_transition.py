@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackprop.corpus import NULL_ID, Vocab, is_projective, projectivize
+from stackprop.corpus import NULL_ID, UNKNOWN_ID, Vocab, is_projective, projectivize
 from stackprop.errors import StackpropError, UnrollError
 from stackprop.transition import (
     LEFT_ARC,
     RIGHT_ARC,
     SHIFT,
     SHIFT_TAG,
+    SWAP,
     Action,
     ActionSpace,
     TransitionSystem,
@@ -259,6 +260,40 @@ def test_action_space_encode_decode_roundtrip(simple_vocabs):
         assert space.size == expected
         for idx in range(space.size):
             assert space.encode(space.decode(idx)) == idx
+            assert space.decode(idx) is space.decode(idx)
+        # equal actions built elsewhere encode to the same index
+        assert space.encode(Action(RIGHT_ARC, label=labels.id_of("obj"))) == (
+            space.n_shift + labels.n_classes + labels.class_index("obj")
+        )
+
+
+def test_action_space_encode_rejects_actions_outside_the_space():
+    """An action the space does not enumerate raises instead of landing on
+    another action's index: the UNKNOWN label (was SHIFT's 0), SWAP without
+    SWAP (was -1, the last class), a label past the vocabulary (was one past
+    the last index) and a SHIFT kind of the other system."""
+    labels = Vocab(["root", "nsubj", "obj", "det", "amod", "nmod", "case", "advmod", "punct"])
+    tags = Vocab(["NOUN", "VERB"])
+    space = ActionSpace(labels, tags, STD, labels.id_of("root"), True)
+    assert space.size == 19
+    outside = [
+        Action(LEFT_ARC, label=UNKNOWN_ID),
+        Action(SWAP),
+        Action(RIGHT_ARC, label=labels.size),
+        Action(SHIFT_TAG, tag=2),
+    ]
+    for a in outside:
+        with pytest.raises(StackpropError, match="action space"):
+            space.encode(a)
+    joint = ActionSpace(labels, tags, TransitionSystem(joint=True), labels.id_of("root"))
+    with pytest.raises(StackpropError, match="action space"):
+        joint.encode(Action(SHIFT))
+
+
+def test_unroll_rejects_a_label_outside_the_vocabulary():
+    s = make_sentence([2, 0], labels=["unseen", "root"])
+    with pytest.raises(StackpropError, match="action space"):
+        unroll(s, STD, Vocab(["root", "dep"]))
 
 
 def test_action_space_mask_respects_legality_and_root_label(simple_vocabs):
@@ -440,3 +475,71 @@ def test_long_sentences_take_linear_time():
     elapsed = time.perf_counter() - t0
     assert sum(t.pred_head == 0 for t in parsed.tokens) == 1
     assert elapsed < 1.0, elapsed
+
+
+def reference_legal_kinds(c, system):
+    """The legal kinds, written out rule by rule."""
+    kinds = set()
+    if c.queue:
+        kinds.add(SHIFT_TAG if system.joint else SHIFT)
+    if len(c.stack) >= 2:
+        s0, s1 = c.stack[-1], c.stack[-2]
+        kinds.add(RIGHT_ARC)
+        if s1 != 0:
+            kinds.add(LEFT_ARC)
+            if system.swap and s1 < s0:
+                kinds.add(SWAP)
+    return kinds
+
+
+def random_reachable(system, n, rng, labels, tags):
+    """A configuration reached from a random tree's initial configuration by
+    uniformly random legal actions."""
+    s = make_sentence(random_tree(n, rng))
+    space = ActionSpace(labels, tags, system, labels.id_of("root"))
+    c = initial(s)
+    for _ in range(int(rng.integers(0, 3 * n))):
+        if is_terminal(c):
+            break
+        legal = np.nonzero(space.legal_mask(c))[0]
+        apply(c, space.decode(int(rng.choice(legal))), system)
+    return c
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**31 - 1),
+    system=st.sampled_from(sorted(SYSTEMS)),
+    root_exclusive=st.booleans(),
+)
+def test_one_legality_definition(n, seed, system, root_exclusive):
+    """Over random reachable configurations, ``legal_actions`` (built from
+    ``is_legal``) lists the kinds the rules allow, ``apply`` accepts an
+    action exactly when its kind is listed, and ``legal_mask`` allows only
+    actions of listed kinds, and every listed kind except a RIGHT_ARC that
+    the root rules hold back until the buffer is empty."""
+    system = SYSTEMS[system]
+    rng = np.random.default_rng(seed)
+    labels, tags = Vocab(["root", "dep", "nsubj"]), Vocab(["NOUN", "VERB"])
+    c = random_reachable(system, n, rng, labels, tags)
+    space = ActionSpace(labels, tags, system, labels.id_of("root"), root_exclusive)
+    kinds = legal_actions(c, system)
+    assert kinds == reference_legal_kinds(c, system)
+    mask = space.legal_mask(c)
+    allowed = {space.decode(i).kind for i in np.nonzero(mask)[0]}
+    assert allowed <= kinds
+    assert kinds - allowed <= {RIGHT_ARC}  # under the sentinel before the buffer empties
+    if RIGHT_ARC in kinds - allowed:
+        assert c.stack[-2] == 0 and c.queue
+    assert (kinds == set()) == is_terminal(c)
+    for a in space.actions + [Action(SHIFT), Action(SWAP)]:
+        # legality reads only the stack and the buffer
+        trial = initial(make_sentence([0] * n))
+        trial.stack, trial.queue = list(c.stack), list(c.queue)
+        trial.tags = dict(c.tags)
+        if a.kind in kinds:
+            apply(trial, a, system)
+        else:
+            with pytest.raises(StackpropError, match="illegal"):
+                apply(trial, a, system)
