@@ -4,7 +4,7 @@ tagger, trained with interleaved tagging and parsing updates."""
 
 __version__ = "0.1.0"
 
-from stackprop.corpus import Sentence, Token, Vocab, emit_conllu, parse_conllu
+from stackprop.corpus import Sentence, Token, Vocab, emit_conllu, parse_conllu, read_conllu
 from stackprop.model import StackedModel, build_model, load, save
 from stackprop.parser import parse_corpus, parse_sentence
 from stackprop.trainer import TrainSettings, TrainingSchedule, train_variant
@@ -14,6 +14,7 @@ __all__ = [
     "Token",
     "Vocab",
     "parse_conllu",
+    "read_conllu",
     "emit_conllu",
     "StackedModel",
     "build_model",

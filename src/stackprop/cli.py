@@ -9,20 +9,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import logging
 import sys
 import time
 from contextlib import ExitStack, nullcontext
 from dataclasses import replace
-from typing import ContextManager, Iterator, Optional, TextIO
+from typing import ContextManager, Optional, TextIO
 
 import numpy as np
 
 from stackprop import corpus as corpus_mod
 from stackprop import evaluator, model as model_mod, parser as parser_mod, trainer
-from stackprop.corpus import Sentence, parse_conllu
+from stackprop.corpus import Sentence, read_conllu
 from stackprop.errors import (
     ConfigError,
     CorpusError,
@@ -170,25 +169,9 @@ def sha256_file(path: str) -> str:
 def load_corpus(path: str) -> list[Sentence]:
     try:
         with open(path, encoding="utf-8") as f:
-            return parse_conllu(f.read())
+            return list(read_conllu(f))
     except OSError as e:
         raise ConfigError(f"cannot read corpus {path}: {e}")
-
-
-def iter_conllu_blocks(stream: TextIO) -> Iterator[Sentence]:
-    """Stream sentences one block at a time (bounded memory). A sentence
-    without ``# sent_id`` is named by its position in the stream, as
-    ``load_corpus`` names it by its position in the file."""
-    lines: list[str] = []
-    n = 0
-    for line in itertools.chain(stream, [""]):  # the empty line ends the last block
-        if line.strip():
-            lines.append(line)
-        elif lines:
-            block = parse_conllu("".join(lines), first_id=n + 1)
-            n += len(block)
-            yield from block
-            lines = []
 
 
 # subcommands
@@ -268,7 +251,7 @@ def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
             if args.emit_activations else None
         )
         for parsed, hidden, group_stats in parser_mod.decode_groups(
-            iter_conllu_blocks(fin), m, threads=args.threads, tag_only=tag_only
+            read_conllu(fin), m, threads=args.threads, tag_only=tag_only
         ):
             stats.add(group_stats)
             for s, h in zip(parsed, hidden):
@@ -347,13 +330,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ref = load_corpus(args.reference_tags)
         tags = [[t.gold_upos for t in s.tokens] for s in ref]
         las_err, las_rest = evaluator.cascade_breakdown(gold, system, tags)
-        report.las_on_tag_errors, report.las_on_rest = las_err, las_rest
-        report.n_tag_errors = sum(
+        n_tag_errors = sum(
             1 for s, ts in zip(gold, tags) for t, r in zip(s.tokens, ts) if t.gold_upos != r
         )
         pairs.append(("las_on_tag_errors", f"{las_err:.4f}"))
         pairs.append(("las_on_rest", f"{las_rest:.4f}"))
-        pairs.append(("n_tag_errors", report.n_tag_errors))
+        pairs.append(("n_tag_errors", n_tag_errors))
     if args.machine:
         for k, v in pairs:
             print(f"{k}={v}")

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -120,96 +121,99 @@ class Vocab:
         return isinstance(other, Vocab) and self._strings == other._strings
 
 
-def parse_conllu(text: str, first_id: int = 1) -> list[Sentence]:
-    """Parse CoNLL-U text into validated sentences.
+def read_conllu(lines: Iterable[str]) -> Iterator[Sentence]:
+    """Validated sentences from CoNLL-U lines, each yielded as its block ends.
 
+    ``lines`` may keep their line ends (an open file) or not (a split text).
     Multiword-token ranges ("3-4") and empty nodes ("5.1") are skipped;
     comment lines are ignored except that ``# sent_id`` names the sentence
-    (one without it is named by its position, counting from ``first_id``).
+    (one without it is named by its position in the stream, counting from 1).
     Each sentence's gold heads must form a single tree under the artificial
-    root.
+    root. Errors name the line of the stream, counting from 1; input that
+    does not decode is a CorpusError naming the line after the last line read
+    (a file decodes in chunks, so the bad bytes may lie further on).
     """
-    sentences: list[Sentence] = []
     tokens: list[Token] = []
     sent_id: Optional[str] = None
-
-    def flush(line_no: int) -> None:
-        nonlocal tokens, sent_id
-        if not tokens:
-            sent_id = None
-            return
-        sid = sent_id if sent_id is not None else str(first_id + len(sentences))
-        sent = Sentence(tokens, id=sid)
-        validate_tree(sent)
-        sentences.append(sent)
-        tokens = []
-        sent_id = None
-
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
-        if not line.strip():
-            flush(line_no)
-            continue
-        if line.startswith("#"):
-            if line[1:].split("=", 1)[0].strip() == "sent_id" and "=" in line:
-                sent_id = line.split("=", 1)[1].strip()
-            continue
-        cols = line.split("\t")
-        if len(cols) != 10:
-            raise CorpusError(f"line {line_no}: expected 10 columns, got {len(cols)}")
-        if "-" in cols[ID] or "." in cols[ID]:
-            continue  # multiword-token range or empty node
-        try:
-            index = int(cols[ID])
-            head = int(cols[HEAD])
-        except ValueError as e:
-            raise CorpusError(f"line {line_no}: bad ID or HEAD field: {e}")
-        if index != len(tokens) + 1:
-            raise CorpusError(f"line {line_no}: token id {index} out of sequence")
-        tokens.append(
-            Token(
-                index=index,
-                form=cols[FORM],
-                gold_upos=cols[UPOS],
-                gold_head=head,
-                gold_deprel=cols[DEPREL],
-                lemma=cols[LEMMA],
-                xpos=cols[XPOS],
-                feats=cols[FEATS],
-                deps=cols[DEPS],
-                misc=cols[MISC],
+    n_sentences = line_no = 0
+    try:
+        # the empty line after the input ends the last block
+        for line_no, line in enumerate(chain(lines, [""]), start=1):
+            line = line.rstrip("\r\n")
+            if not line.strip():
+                if tokens:
+                    n_sentences += 1
+                    sent = Sentence(tokens, id=str(n_sentences) if sent_id is None else sent_id)
+                    validate_tree(sent)
+                    yield sent
+                    tokens = []
+                sent_id = None
+                continue
+            if line.startswith("#"):
+                if line[1:].split("=", 1)[0].strip() == "sent_id" and "=" in line:
+                    sent_id = line.split("=", 1)[1].strip()
+                continue
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise CorpusError(f"line {line_no}: expected 10 columns, got {len(cols)}")
+            if "-" in cols[ID] or "." in cols[ID]:
+                continue  # multiword-token range or empty node
+            try:
+                index = int(cols[ID])
+                head = int(cols[HEAD])
+            except ValueError as e:
+                raise CorpusError(f"line {line_no}: bad ID or HEAD field: {e}")
+            if index != len(tokens) + 1:
+                raise CorpusError(f"line {line_no}: token id {index} out of sequence")
+            tokens.append(
+                Token(
+                    index=index,
+                    form=cols[FORM],
+                    gold_upos=cols[UPOS],
+                    gold_head=head,
+                    gold_deprel=cols[DEPREL],
+                    lemma=cols[LEMMA],
+                    xpos=cols[XPOS],
+                    feats=cols[FEATS],
+                    deps=cols[DEPS],
+                    misc=cols[MISC],
+                )
             )
-        )
-    flush(-1)
-    return sentences
+    except UnicodeDecodeError as e:
+        raise CorpusError(f"line {line_no + 1} or later is not UTF-8: {e}") from None
+
+
+def parse_conllu(text: str) -> list[Sentence]:
+    """``read_conllu`` over a whole CoNLL-U text."""
+    return list(read_conllu(text.split("\n")))
 
 
 def validate_tree(sentence: Sentence) -> None:
     """Reject self-loops, out-of-range heads, multiple roots, and cycles."""
     n = len(sentence.tokens)
     sid = sentence.id
-    roots = 0
+    children: list[list[int]] = [[] for _ in range(n + 1)]
     for t in sentence.tokens:
         if t.gold_head == t.index:
             raise CorpusError(f"sentence {sid}: token {t.index} is its own head")
         if not 0 <= t.gold_head <= n:
             raise CorpusError(f"sentence {sid}: head {t.gold_head} out of range")
-        if t.gold_head == 0:
-            roots += 1
-    if roots == 0:
+        children[t.gold_head].append(t.index)
+    if not children[0]:
         raise CorpusError(f"sentence {sid}: no token attached to root")
-    if roots > 1:
+    if len(children[0]) > 1:
         raise CorpusError(f"sentence {sid}: multiple root attachments")
-    # n nodes, n arcs to {0..n}: a single tree iff every token reaches 0
-    heads = sentence.gold_heads()
-    for t in sentence.tokens:
-        seen = set()
-        node = t.index
-        while node != 0:
-            if node in seen:
-                raise CorpusError(f"sentence {sid}: cycle through token {node}")
+    # n nodes, n arcs to {0..n}: a single tree iff every token is reached from 0
+    reached = [0]
+    for node in reached:  # breadth first: the loop also visits what it appends
+        reached += children[node]
+    if len(reached) <= n:
+        # walk up from the first unreached token until a node repeats
+        node, seen = min(set(range(1, n + 1)).difference(reached)), set()
+        while node not in seen:
             seen.add(node)
-            node = heads[node - 1]
+            node = sentence.tokens[node - 1].gold_head
+        raise CorpusError(f"sentence {sid}: cycle through token {node}")
 
 
 def emit_conllu(sentences: list[Sentence], use_predicted: bool = False) -> str:

@@ -24,10 +24,6 @@ class EvalReport:
     pos_acc: Optional[float]
     n_tokens: int
     per_sentence: list[tuple[float, float]]  # (uas, las) per sentence
-    # LAS split by whether a reference tagger erred on the token
-    las_on_tag_errors: Optional[float] = None
-    las_on_rest: Optional[float] = None
-    n_tag_errors: int = 0
 
 
 def is_punctuation(token) -> bool:

@@ -46,6 +46,8 @@ from scipy.sparse import csr_array
 from stackprop.errors import ModelError, StackpropError
 
 DTYPE = np.float64
+INIT_SCALE = 0.01  # weights and embeddings start uniform in [-INIT_SCALE, INIT_SCALE]
+HIDDEN_BIAS = 0.2  # b1's initial value, so ReLU units start active
 
 MAGIC = b"STPM"
 FORMAT_VERSION = 1
@@ -178,8 +180,6 @@ class Network:
         n_out: int,
         rng: np.random.Generator,
         extra_blocks: Optional[dict[str, tuple[int, ...]]] = None,
-        init_scale: float = 0.01,
-        hidden_bias: float = 0.2,
     ):
         self.groups = list(groups)
         self.n_hidden = n_hidden
@@ -187,11 +187,11 @@ class Network:
         self.params: dict[str, np.ndarray] = {}
         for name, shape in block_shapes(self.groups, n_hidden, n_out, extra_blocks).items():
             if name == "b1":
-                self.params[name] = np.full(shape, hidden_bias, dtype=DTYPE)
+                self.params[name] = np.full(shape, HIDDEN_BIAS, dtype=DTYPE)
             elif name == "b2":
                 self.params[name] = np.zeros(shape, dtype=DTYPE)
             else:
-                self.params[name] = rng.uniform(-init_scale, init_scale, size=shape).astype(DTYPE)
+                self.params[name] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(DTYPE)
         self.block_names = list(self.params)
         self.velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.avg_count = {k: 0 for k in self.params}

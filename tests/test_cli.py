@@ -8,18 +8,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackprop import cli as cli_mod, trainer
 from stackprop.cli import (
     SETTING_FIELDS,
     TRAIN_DEFAULTS,
-    iter_conllu_blocks,
     load_corpus,
     main,
     settings_field,
     settings_from_config,
 )
-from stackprop.corpus import emit_conllu, parse_conllu
+from stackprop.corpus import emit_conllu, parse_conllu, read_conllu
+from stackprop.errors import CorpusError
 from stackprop.nnkernel import blas_build, kernel_workers
 from stackprop.synthetic import generate_corpus
 
@@ -212,9 +213,97 @@ def test_emit_activations_numbers_streamed_sentences(trained_model, workdir):
     with open(workdir / "named.conllu", "w", encoding="utf-8") as f:
         f.write(named)
     with open(workdir / "named.conllu", encoding="utf-8") as f:
-        streamed = [s.id for s in iter_conllu_blocks(f)]
+        streamed = [s.id for s in read_conllu(f)]
     assert streamed == [s.id for s in load_corpus(str(workdir / "named.conllu"))]
     assert streamed == ["first"] + [str(i) for i in range(2, 31)]
+
+
+SEPARATORS = st.sampled_from(["", " ", "\t", "  \t "])
+FORMS = st.text(
+    st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",)),
+    min_size=1, max_size=4,
+)
+EMPTY_ROW = "\t".join(["_"] * 8)
+
+
+@st.composite
+def conllu_corpora(draw):
+    """(lines, token_rows): the lines of a CoNLL-U corpus of 1-5 blocks that
+    mixes ``# sent_id`` comments, multiword ranges, empty nodes and
+    whitespace-only separators, and each block's token rows as indices into
+    ``lines``."""
+    lines, token_rows = draw(st.lists(SEPARATORS, max_size=1)), []
+    for k in range(draw(st.integers(1, 5))):
+        if k:
+            lines += draw(st.lists(SEPARATORS, min_size=1, max_size=2))
+        if draw(st.booleans()):
+            lines.append(f"# sent_id = s{k}")
+        if draw(st.booleans()):
+            lines.append("# text = anything")
+        n = draw(st.integers(1, 5))
+        if n > 1 and draw(st.booleans()):
+            lines.append(f"1-2\tab\t{EMPTY_ROW}")
+        rows = []
+        for i in range(1, n + 1):
+            head, deprel = (0, "root") if i == 1 else (draw(st.integers(1, i - 1)), "dep")
+            rows.append(len(lines))
+            lines.append(f"{i}\t{draw(FORMS)}\t_\tX\t_\t_\t{head}\t{deprel}\t_\t_")
+            if i == 1 and draw(st.booleans()):
+                lines.append(f"1.1\tghost\t{EMPTY_ROW}")
+        token_rows.append(rows)
+    return lines, token_rows
+
+
+def read_three_ways(path, text):
+    """What ``parse_conllu`` reads from ``text``, and ``load_corpus`` and
+    ``read_conllu`` from the file at ``path``: sentences, or an error."""
+    def outcome(read):
+        try:
+            return read()
+        except CorpusError as e:
+            return str(e)
+
+    def stream():
+        with open(path, encoding="utf-8") as f:
+            return list(read_conllu(f))
+
+    return [outcome(lambda: parse_conllu(text)), outcome(lambda: load_corpus(str(path))),
+            outcome(stream)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=conllu_corpora(), data=st.data())
+def test_a_file_and_its_text_read_alike(workdir, corpus, data):
+    """A file read through ``load_corpus`` or streamed by ``read_conllu``
+    gives the sentences ``parse_conllu`` gives for its text, CRLF line ends
+    included; a bad HEAD in block k is reported at the same line by all
+    three."""
+    lines, token_rows = corpus
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                              max_size=len(lines)))
+    path = workdir / "read_alike.conllu"
+
+    def write(lines):
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if data.draw(st.booleans()):
+            text = text.rstrip("\r\n")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        return text
+
+    text = write(lines)
+    whole, loaded, streamed = read_three_ways(path, text)
+    assert len(whole) == len(token_rows)
+    assert loaded == whole and streamed == whole
+
+    k = data.draw(st.integers(0, len(token_rows) - 1))
+    row = data.draw(st.sampled_from(token_rows[k]))
+    cols = lines[row].split("\t")
+    cols[6] = "x"
+    text = write(lines[:row] + ["\t".join(cols)] + lines[row + 1:])
+    errors = read_three_ways(path, text)
+    assert errors == [f"line {row + 1}: bad ID or HEAD field: "
+                      "invalid literal for int() with base 10: 'x'"] * 3
 
 
 def test_tag_and_parse_dump_identical_activations(trained_model, workdir):
@@ -421,6 +510,36 @@ def test_exit_code_data_on_malformed_corpus(workdir, trained_model):
     rc = main(["parse", "--model", str(trained_model), "--input", str(bad),
                "--output", os.devnull])
     assert rc == 2
+
+
+def test_parse_names_the_input_line_of_a_bad_block(workdir, trained_model, caplog):
+    """A bad HEAD in the third block is reported at its line of the input
+    file, as ``parse_conllu`` reports it in the whole text."""
+    block = "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n\n"
+    text = block * 2 + block.replace("\t0\t", "\tx\t") + block
+    bad = workdir / "bad_third_block.conllu"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError, match="^line 7: bad ID or HEAD field"):
+        parse_conllu(text)
+    rc = main(["parse", "--model", str(trained_model), "--input", str(bad),
+               "--output", os.devnull])
+    assert rc == 2
+    assert "line 7: bad ID or HEAD field" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["eval", "parse"])
+def test_non_utf8_input_is_a_data_error(command, workdir, trained_model, capsys, caplog):
+    latin1 = workdir / "latin1.conllu"
+    latin1.write_bytes("1\tcafé\t_\tNOUN\t_\t_\t0\troot\t_\t_\n\n".encode("latin-1"))
+    argv = {
+        "eval": ["eval", "--gold", str(latin1), "--system", str(latin1)],
+        "parse": ["parse", "--model", str(trained_model), "--input", str(latin1),
+                  "--output", os.devnull],
+    }[command]
+    rc = main(argv)
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert "line 1 or later is not UTF-8" in caplog.text
 
 
 def test_exit_code_model_on_corrupt_model(workdir):

@@ -12,6 +12,7 @@ from stackprop.corpus import (
     is_projective,
     parse_conllu,
     projectivize,
+    validate_tree,
 )
 from stackprop.errors import CorpusError
 from stackprop.synthetic import generate_corpus
@@ -45,6 +46,57 @@ def reference_projectivize_heads(heads):
             return heads
         h, d = min(liftable, key=lambda arc: (abs(arc[0] - arc[1]), arc[1]))
         heads[d - 1] = heads[h - 1]
+
+
+def reference_validate_tree(sentence):
+    """The walk-up check: every token walks to the root with a fresh set,
+    quadratic on deep trees."""
+    n = len(sentence.tokens)
+    sid = sentence.id
+    roots = 0
+    for t in sentence.tokens:
+        if t.gold_head == t.index:
+            raise CorpusError(f"sentence {sid}: token {t.index} is its own head")
+        if not 0 <= t.gold_head <= n:
+            raise CorpusError(f"sentence {sid}: head {t.gold_head} out of range")
+        if t.gold_head == 0:
+            roots += 1
+    if roots == 0:
+        raise CorpusError(f"sentence {sid}: no token attached to root")
+    if roots > 1:
+        raise CorpusError(f"sentence {sid}: multiple root attachments")
+    heads = sentence.gold_heads()
+    for t in sentence.tokens:
+        seen = set()
+        node = t.index
+        while node != 0:
+            if node in seen:
+                raise CorpusError(f"sentence {sid}: cycle through token {node}")
+            seen.add(node)
+            node = heads[node - 1]
+
+
+@st.composite
+def head_arrays(draw):
+    """A random tree over 1-12 tokens, perhaps with a cycle closed (an
+    ancestor of a token takes it as head), then with up to two heads
+    replaced: by a self-loop, a second root, an out-of-range head or any
+    head."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * n
+    for k, d in enumerate(order[1:], start=1):
+        heads[d - 1] = order[draw(st.integers(0, k - 1))]
+    path = [draw(st.integers(1, n))]
+    while heads[path[-1] - 1]:
+        path.append(heads[path[-1] - 1])
+    if len(path) > 1 and draw(st.booleans()):
+        heads[path[draw(st.integers(1, len(path) - 1))] - 1] = path[0]
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(1, n))
+        heads[d - 1] = draw(st.sampled_from([d, 0, -1, n + 1]) | st.integers(0, n))
+    return heads
+
 
 TWO_TOKEN = (
     "1\tHi\t_\tINTJ\t_\t_\t0\troot\t_\t_\n"
@@ -251,6 +303,40 @@ def test_projectivize_long_nonprojective_chain_is_fast():
     assert is_projective(p)
     assert sum(a != b for a, b in zip(p.gold_heads(), chain.gold_heads())) == 78
     assert elapsed < 0.1, elapsed
+
+
+def check_outcome(check, sentence):
+    """The error message ``check`` raises on ``sentence``, or None."""
+    try:
+        check(sentence)
+    except CorpusError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(head_arrays())
+def test_validate_tree_matches_the_walk_up_reference(heads):
+    s = make_sentence(heads, sid="h")
+    assert check_outcome(validate_tree, s) == check_outcome(reference_validate_tree, s)
+
+
+def test_validate_tree_long_chain_is_fast():
+    """Each token heads the next, the deepest tree of its length; the
+    walk-up check took 0.7-0.8 s on this chain on a 2-vCPU host."""
+    n = 4000
+    chain = make_sentence(list(range(n)))
+    heads = list(range(n))
+    heads[n // 2] = n  # tokens n/2 + 1 .. n form a cycle
+    cyclic = make_sentence(heads, sid="c")
+    elapsed = []
+    for _ in range(3):  # best of three, so a busy host does not fail it
+        t0 = time.perf_counter()
+        validate_tree(chain)
+        with pytest.raises(CorpusError, match=f"^sentence c: cycle through token {n // 2 + 1}$"):
+            validate_tree(cyclic)
+        elapsed.append(time.perf_counter() - t0)
+    assert min(elapsed) < 0.1, elapsed
 
 
 def test_vocab_ids_dense_and_deterministic():
