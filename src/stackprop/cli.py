@@ -168,7 +168,7 @@ def sha256_file(path: str) -> str:
 
 def load_corpus(path: str) -> list[Sentence]:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline="\n") as f:
             return list(read_conllu(f))
     except OSError as e:
         raise ConfigError(f"cannot read corpus {path}: {e}")
@@ -230,8 +230,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _open_in(path: Optional[str]) -> ContextManager[TextIO]:
-    return nullcontext(sys.stdin) if path in (None, "-") else open(path, encoding="utf-8")
+def _open_in(path: Optional[str]) -> TextIO:
+    """Input split on "\n" only, as ``parse_conllu`` splits a text; stdin stays open."""
+    if path in (None, "-"):
+        return open(sys.stdin.fileno(), encoding="utf-8", newline="\n", closefd=False)
+    return open(path, encoding="utf-8", newline="\n")
 
 
 def _open_out(path: Optional[str]) -> ContextManager[TextIO]:

@@ -25,15 +25,23 @@ _SYLLABLES = [
 
 
 def _stems(count: int) -> list[str]:
-    out = []
-    i = 0
-    while len(out) < count:
-        a = _SYLLABLES[i % len(_SYLLABLES)]
-        b = _SYLLABLES[(i // len(_SYLLABLES)) % len(_SYLLABLES)]
-        suffix = "" if i < len(_SYLLABLES) ** 2 else str(i)
-        out.append(a + b + suffix)
-        i += 1
-    return out
+    """Two-syllable stems; past the 400 pairs, stem i repeats pair i % 400 plus i."""
+    pairs = [a + b for b in _SYLLABLES for a in _SYLLABLES]
+    return pairs[:count] + [pairs[i % len(pairs)] + str(i) for i in range(len(pairs), count)]
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(n, p=p)`` builds, computed the same way."""
+    cdf = p.cumsum()
+    return cdf / cdf[-1]
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """``int(rng.choice(len(cdf), p=p))``: the same index from the same one double."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+_ADJ_COUNT_CDF = _cdf(np.array([0.6, 0.3, 0.1]))
 
 
 class Grammar:
@@ -53,8 +61,8 @@ class Grammar:
         self.verb_stems = stems[n // 2 : int(n * 0.8)] + stems[int(n * 0.8) :]
         self.adj_stems = [s + "y" for s in stems[: max(n // 6, 4)]]
         self.adv_forms = [s + "ly" for s in stems[: max(n // 8, 3)]]
-        self._zipf_noun = self._zipf(len(self.noun_stems), zipf)
-        self._zipf_verb = self._zipf(len(self.verb_stems), zipf)
+        self._noun_cdf = _cdf(self._zipf(len(self.noun_stems), zipf))
+        self._verb_cdf = _cdf(self._zipf(len(self.verb_stems), zipf))
 
     @staticmethod
     def _zipf(n: int, exponent: float) -> np.ndarray:
@@ -62,11 +70,11 @@ class Grammar:
         return w / w.sum()
 
     def noun(self, rng) -> str:
-        stem = self.noun_stems[rng.choice(len(self.noun_stems), p=self._zipf_noun)]
+        stem = self.noun_stems[_draw(self._noun_cdf, rng)]
         return stem + "s" if rng.random() < 0.3 else stem
 
     def verb(self, rng) -> str:
-        stem = self.verb_stems[rng.choice(len(self.verb_stems), p=self._zipf_verb)]
+        stem = self.verb_stems[_draw(self._verb_cdf, rng)]
         r = rng.random()
         if r < 0.4:
             return stem + "ed"
@@ -85,7 +93,7 @@ def _np(g: Grammar, rng, allow_pp: bool) -> tuple[list[tuple[str, str]], int, li
     det = rng.random() < 0.7
     if det:
         words.append((DETS[rng.integers(len(DETS))], "DET"))
-    n_adj = int(rng.choice([0, 1, 2], p=[0.6, 0.3, 0.1]))
+    n_adj = _draw(_ADJ_COUNT_CDF, rng)
     for _ in range(n_adj):
         words.append((g.adj_stems[rng.integers(len(g.adj_stems))], "ADJ"))
     head = len(words)

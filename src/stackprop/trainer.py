@@ -98,6 +98,7 @@ class EncodedCorpus:
     deriv_labels: np.ndarray
     deriv_gold: np.ndarray
     skipped: int
+    projectivized: int
 
     @property
     def n_tag_examples(self) -> int:
@@ -112,9 +113,11 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
     """Projectivize (unless SWAP handles non-projectivity), unroll every
     sentence once, and stack all features into flat arrays."""
     prepared = []
+    projectivized = 0
     for s in sentences:
         if not model.system.swap and not is_projective(s):
             s = projectivize(s)
+            projectivized += 1
         prepared.append(s)
 
     base = skipped = 0
@@ -150,6 +153,7 @@ def encode_training_data(sentences: list[Sentence], model: StackedModel) -> Enco
         deriv_labels=np.array(labels, dtype=np.int64).reshape(-1, N_LABEL_TEMPLATES),
         deriv_gold=np.array(gold, dtype=np.int64),
         skipped=skipped,
+        projectivized=projectivized,
     )
 
 
@@ -505,8 +509,11 @@ def train_variant(
     schedule = settings.schedule
     rng = np.random.default_rng(schedule.seed)
     model, data = _fresh_model(mode, train, settings, rng)
-    if data.skipped:
-        log.warning("skipped %d unrollable sentences", data.skipped)
+    if data.skipped or data.projectivized:
+        (log.warning if data.skipped else log.info)(
+            "training sentences: %d projectivized, %d unrollable skipped",
+            data.projectivized, data.skipped,
+        )
     train_dists = None
     if not model.variant.stacked:
         # the encoder may have projectivized/dropped sentences; jackknife the kept ones

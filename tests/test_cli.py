@@ -306,6 +306,38 @@ def test_a_file_and_its_text_read_alike(workdir, corpus, data):
                       "invalid literal for int() with base 10: 'x'"] * 3
 
 
+BARE_CR = b"1\ta\rb\t_\tX\t_\t_\t0\troot\t_\t_\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_splits_lines_on_newline_only(trained_model, workdir, monkeypatch, source):
+    """A file or stdin splits lines on "\\n" only, as ``parse_conllu`` splits
+    a text: a bare CR inside a field stays in the field, a CRLF line end
+    reads as "\\n", and stdin is left open."""
+    def parse(data: bytes, name: str) -> bytes:
+        path = workdir / f"{name}.conllu"
+        path.write_bytes(data)
+        out = workdir / f"{name}_{source}_out.conllu"
+        argv = ["parse", "--model", str(trained_model), "--output", str(out)]
+        if source == "file":
+            assert main(argv + ["--input", str(path)]) == 0
+        else:
+            with open(path, encoding="utf-8") as stdin:
+                monkeypatch.setattr(sys, "stdin", stdin)
+                assert main(argv) == 0
+                os.fstat(stdin.fileno())  # the descriptor is still open
+        return out.read_bytes()
+
+    parsed = parse_conllu(parse(BARE_CR, "bare_cr").decode())
+    assert [t.form for t in parsed[0].tokens] == ["a\rb"]
+    loaded = load_corpus(str(workdir / "bare_cr.conllu"))
+    assert loaded == parse_conllu(BARE_CR.decode()) and loaded[0].tokens[0].form == "a\rb"
+
+    text = emit_conllu(generate_corpus(8, seed=54))
+    crlf = text.replace("\n", "\r\n").encode()
+    assert parse(crlf, "crlf") == parse(text.encode(), "lf")
+
+
 def test_tag_and_parse_dump_identical_activations(trained_model, workdir):
     """``tag`` reads tokens through the same batch encoding and per-sentence
     tagger pass as ``parse``: both dump the same rows, and ``tag`` keeps the

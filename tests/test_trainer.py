@@ -1,4 +1,5 @@
 import io
+import logging
 import tracemalloc
 
 import numpy as np
@@ -510,3 +511,25 @@ def test_nonprojective_corpus_projectivized_without_swap():
 
     assert all(is_projective(s) for s in data.sentences)
     assert len(data.sentences) == len(corpus)  # projectivized, never dropped
+
+
+def test_encoding_counts_and_training_logs_projectivized_sentences(caplog):
+    """``projectivized`` counts the sentences the encoder lifted (none under
+    SWAP, which keeps them), and training logs it beside the skipped count."""
+    from stackprop.corpus import is_projective
+
+    corpus = generate_corpus(30, seed=13, p_nonproj=0.3)
+    n_lifted = sum(not is_projective(s) for s in corpus)
+    assert 0 < n_lifted < len(corpus)
+    assert fresh(corpus=corpus)[1].projectivized == n_lifted
+    s = tiny_settings(seed=0, parser_epochs=1, tagger_epochs=1)
+    swap_model = build_model(STACKPROP, corpus, s.tagger_cfg, s.parser_cfg, swap=True, seed=0)
+    assert encode_training_data(corpus, swap_model).projectivized == 0
+    assert fresh()[1].projectivized == 0  # CORPUS is projective
+
+    caplog.set_level(logging.INFO, logger="stackprop")
+    train_variant(STACKPROP, corpus, None, s)
+    assert f"training sentences: {n_lifted} projectivized, 0 unrollable skipped" in caplog.text
+    caplog.clear()
+    train_variant(STACKPROP, CORPUS, None, s)
+    assert "training sentences:" not in caplog.text
