@@ -50,10 +50,6 @@ class Sentence:
     def gold_heads(self) -> list[int]:
         return [t.gold_head for t in self.tokens]
 
-    def token(self, index: int) -> Token:
-        """Token at 1-based position ``index``."""
-        return self.tokens[index - 1]
-
 
 class Vocab:
     """Bidirectional string<->id map with reserved NULL and UNKNOWN ids.

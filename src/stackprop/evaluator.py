@@ -1,15 +1,13 @@
-"""Attachment/tagging metrics, cascaded-error breakdown, significance
-testing, and nearest neighbors in the tagger's contextual embedding space."""
+"""Attachment/tagging metrics, cascaded-error breakdown, and nearest
+neighbors in the tagger's contextual embedding space."""
 
 from __future__ import annotations
 
-import math
 import unicodedata
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from stackprop.corpus import Sentence
 from stackprop.errors import StackpropError
@@ -23,7 +21,6 @@ class EvalReport:
     las: float
     pos_acc: Optional[float]
     n_tokens: int
-    per_sentence: list[tuple[float, float]]  # (uas, las) per sentence
 
 
 def is_punctuation(token) -> bool:
@@ -58,9 +55,7 @@ def attachment_scores(
     both_ok = 0
     tag_ok = 0
     tag_seen = 0
-    per_sentence = []
     for g, p in zip(gold, predicted):
-        s_total = s_head = s_both = 0
         for gt, pt in zip(g.tokens, p.tokens):
             if not include_punct and is_punctuation(gt):
                 continue
@@ -68,21 +63,15 @@ def attachment_scores(
                 raise StackpropError(
                     f"sentence {g.id}: token {pt.index} has no predicted head"
                 )
-            s_total += 1
+            n_tokens += 1
             if pt.pred_head == gt.gold_head:
-                s_head += 1
+                head_ok += 1
                 if pt.pred_deprel == gt.gold_deprel:
-                    s_both += 1
+                    both_ok += 1
             if pt.pred_upos is not None:
                 tag_seen += 1
                 if pt.pred_upos == gt.gold_upos:
                     tag_ok += 1
-        n_tokens += s_total
-        head_ok += s_head
-        both_ok += s_both
-        per_sentence.append(
-            (s_head / s_total, s_both / s_total) if s_total else (1.0, 1.0)
-        )
     if n_tokens == 0:
         raise StackpropError("no scorable tokens")
     return EvalReport(
@@ -90,7 +79,6 @@ def attachment_scores(
         las=both_ok / n_tokens,
         pos_acc=tag_ok / tag_seen if tag_seen else None,
         n_tokens=n_tokens,
-        per_sentence=per_sentence,
     )
 
 
@@ -138,36 +126,6 @@ def cascade_breakdown(
         err_ok / err_total if err_total else 0.0,
         rest_ok / rest_total if rest_total else 0.0,
     )
-
-
-def paired_t_statistic(diffs: np.ndarray) -> tuple[float, int]:
-    """Classic paired t statistic and degrees of freedom for a difference
-    vector."""
-    n = diffs.shape[0]
-    mean = diffs.mean()
-    sd = math.sqrt(diffs.var(ddof=1))
-    if sd == 0.0:
-        return 0.0, n - 1
-    return mean / (sd / math.sqrt(n)), n - 1
-
-
-def paired_significance(report_a: EvalReport, report_b: EvalReport) -> float:
-    """Two-sided paired t-test p-value on per-sentence LAS differences.
-
-    Zero-variance differences are degenerate for the t statistic: identical
-    reports yield p = 1.0, a constant nonzero difference yields p = 0.0.
-    """
-    if len(report_a.per_sentence) != len(report_b.per_sentence):
-        raise StackpropError("reports cover different sentence sets")
-    if len(report_a.per_sentence) < 2:
-        raise StackpropError("need at least 2 sentences for a paired test")
-    diffs = np.array(
-        [a[1] - b[1] for a, b in zip(report_a.per_sentence, report_b.per_sentence)]
-    )
-    if diffs.var(ddof=1) == 0.0:
-        return 1.0 if diffs.mean() == 0.0 else 0.0
-    stat, dof = paired_t_statistic(diffs)
-    return float(2.0 * student_t.sf(abs(stat), dof))
 
 
 def nearest_neighbors(

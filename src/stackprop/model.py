@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import BinaryIO, Union
 
 import numpy as np
@@ -56,6 +56,10 @@ class ParserNetworkConfig:
     d_implicit: int = 64  # embedding applied to each tagger-activation row
     d_label: int = 32
     d_word: int = 64  # pipeline variant only
+
+    def __post_init__(self):
+        if min(astuple(self)) < 1:
+            raise StackpropError(f"bad parser network config {self}")
 
 
 @dataclass
@@ -227,5 +231,7 @@ def load(src: Union[str, BinaryIO]) -> StackedModel:
             networks["tagger"],
             networks["parser"],
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except ModelError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, StackpropError) as e:
         raise ModelError(f"malformed model header: {e!r}") from None

@@ -11,12 +11,13 @@ always returns them, one row per token of the batch.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from stackprop.corpus import NULL_ID, Sentence, Vocab
+from stackprop.errors import CorpusError, StackpropError
 from stackprop.nnkernel import (
     FeatureGroupSpec,
     Network,
@@ -52,6 +53,10 @@ class TaggerConfig:
     d_caps: int = 4
     d_affix: int = 16
     d_words: int = 64
+
+    def __post_init__(self):
+        if min(astuple(self)) < 1:
+            raise StackpropError(f"bad tagger config {self}")
 
 
 @dataclass
@@ -180,18 +185,25 @@ def tag_sentences(
 
 
 def load_pretrained_embeddings(path: str, vocab: Vocab, matrix: np.ndarray) -> tuple[int, int]:
-    """Initialize word-embedding rows from a text file of "form v1 .. vD"
-    lines. Rows are written only when the dimensionality matches; returns
-    (rows initialized, vocabulary size)."""
+    """Initialize word-embedding rows from a UTF-8 text file of "form v1 .. vD"
+    lines. Lines of another width are skipped, and a row is written only for
+    a form in ``vocab``; returns (rows initialized, vocabulary size). Bytes
+    that do not decode, or a written row with a value that is not a finite
+    number, raise ``CorpusError`` naming the line."""
     loaded = 0
     dim = matrix.shape[1]
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            parts = line.rstrip().split(" ")  # word2vec ends lines with a space
-            if len(parts) != dim + 1:
-                continue
-            form = parts[0].lower()
-            if form in vocab:
-                matrix[vocab.id_of(form)] = np.array([float(x) for x in parts[1:]])
-                loaded += 1
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                parts = raw.decode("utf-8").rstrip().split(" ")  # word2vec ends lines with a space
+                form = parts[0].lower()
+                if len(parts) != dim + 1 or form not in vocab:
+                    continue
+                row = np.array([float(x) for x in parts[1:]])
+            except ValueError as e:  # undecodable bytes, or a value float() rejects
+                raise CorpusError(f"embeddings {path} line {lineno}: {e}") from None
+            if not np.isfinite(row).all():
+                raise CorpusError(f"embeddings {path} line {lineno}: non-finite value {row}")
+            matrix[vocab.id_of(form)] = row
+            loaded += 1
     return loaded, vocab.size

@@ -100,7 +100,7 @@ def is_terminal(c: ParserConfiguration) -> bool:
 
 def is_legal(c: ParserConfiguration, kind: str, system: TransitionSystem) -> bool:
     """Whether an action of ``kind`` applies to ``c``: the one legality rule
-    that ``apply``, ``legal_actions`` and ``ActionSpace.legal_mask`` read.
+    that ``apply`` and ``ActionSpace.legal_mask`` read.
 
     SWAP permissibility follows the surface-order rule: the second-top element
     must be a non-root token that precedes the top in the original sentence,
@@ -117,11 +117,6 @@ def is_legal(c: ParserConfiguration, kind: str, system: TransitionSystem) -> boo
     if kind == LEFT_ARC:
         return s1 != ROOT
     return kind == SWAP and system.swap and ROOT != s1 < stack[-1]
-
-
-def legal_actions(c: ParserConfiguration, system: TransitionSystem) -> set[str]:
-    """Legal action kinds for a configuration (``is_legal``)."""
-    return {kind for kind in KINDS if is_legal(c, kind, system)}
 
 
 def apply(c: ParserConfiguration, a: Action, system: TransitionSystem) -> ParserConfiguration:
@@ -180,10 +175,9 @@ def feature_tokens(c: ParserConfiguration) -> list[int]:
     return out
 
 
-def label_features(c: ParserConfiguration, tokens: Optional[list[int]] = None) -> list[int]:
-    """Label vocab ids of the 12 child template slots (NULL id when empty)."""
-    if tokens is None:
-        tokens = feature_tokens(c)
+def label_features(c: ParserConfiguration, tokens: list[int]) -> list[int]:
+    """Label vocab ids of the 12 child template slots (NULL id when empty),
+    from the configuration's ``feature_tokens``."""
     label = c.label
     return [NULL_ID if t == NULL_TOKEN else label[t] for t in tokens[8:]]
 
@@ -260,12 +254,7 @@ def gold_record(gold: Sentence, space: ActionSpace) -> GoldRecord:
 
 
 def oracle(
-    c: ParserConfiguration,
-    gold: Sentence,
-    system: TransitionSystem,
-    labels: Vocab,
-    tags: Optional[Vocab] = None,
-    record: Optional[GoldRecord] = None,
+    c: ParserConfiguration, gold: Sentence, system: TransitionSystem, record: GoldRecord
 ) -> Action:
     """Static-oracle action for a configuration reachable from gold replay.
 
@@ -274,12 +263,10 @@ def oracle(
     inverted with respect to the projective order, then SHIFT. The guard on
     LEFT_ARC matters only under SWAP, where stack order can put a token next
     to its head before the token's buffer-side dependents have attached.
-    The oracle reads ``record`` (``gold_record``, built over a fresh
-    ``ActionSpace`` when not given). A gold replay builds gold arcs only, so
-    a token with as many dependents as in the gold tree is complete.
+    The oracle reads ``record``, the ``gold_record`` of ``gold``. A gold
+    replay builds gold arcs only, so a token with as many dependents as in
+    the gold tree is complete.
     """
-    if record is None:
-        record = gold_record(gold, ActionSpace(labels, tags, system, NULL_ID))
     stack = c.stack
     if len(stack) >= 2:
         s0, s1 = stack[-1], stack[-2]
@@ -337,7 +324,7 @@ def unroll(
     while len(c.stack) > 1 or c.queue:  # not is_terminal(c)
         if len(steps) >= limit:
             raise UnrollError(f"derivation for sentence {gold.id} did not terminate")
-        a = oracle(c, gold, system, labels, tags, record)
+        a = oracle(c, gold, system, record)
         tokens = feature_tokens(c)
         steps.append((tokens, label_features(c, tokens), a))
         apply(c, a, system)

@@ -4,12 +4,14 @@ import io
 import json
 import logging
 import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stackprop
 from stackprop import cli as cli_mod, trainer
 from stackprop.cli import (
     SETTING_FIELDS,
@@ -630,6 +632,54 @@ def test_optimizer_flag_rejected_by_its_config_exits_1(workdir, flags):
     rc = main(["train", "--train", str(workdir / "train.conllu"), "--model", str(model)] + flags)
     assert rc == 1
     assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--h-parser", "0"], ["--h-parser", "-5"], ["--h-tagger", "0"], ["--d-label", "0"]],
+    ids=["h-parser-0", "h-parser-negative", "h-tagger-0", "d-label-0"],
+)
+def test_network_dimension_below_one_exits_1_before_reading(workdir, monkeypatch, flags):
+    """A network dimension below 1 is rejected with the settings, before any
+    corpus is read."""
+    reads = []
+    monkeypatch.setattr(cli_mod, "load_corpus", lambda path: reads.append(path))
+    model = workdir / "bad_dims.model"
+    rc = main(["train", "--train", str(workdir / "train.conllu"), "--model", str(model)] + flags)
+    assert rc == 1
+    assert reads == []
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("case", ["not-a-number", "not-utf8"])
+def test_malformed_embeddings_file_is_a_data_error(workdir, capsys, caplog, case):
+    form = parse_conllu((workdir / "train.conllu").read_text(encoding="utf-8"))[0].tokens[0].form
+    good = f"{form.lower()} " + " ".join(["0.1"] * 8) + "\n"
+    bad = {
+        "not-a-number": f"{form.lower()} 0.1 x " + " ".join(["0.3"] * 6) + "\n",
+        "not-utf8": "caf\xe9 " + " ".join(["0.2"] * 8) + "\n",
+    }[case]
+    vectors = workdir / f"{case}.vec"
+    vectors.write_bytes(good.encode("utf-8") + bad.encode("latin-1"))
+    model = workdir / f"{case}.model"
+    rc = main(["train", "--train", str(workdir / "train.conllu"), "--model", str(model),
+               "--embeddings", str(vectors)] + TINY_FLAGS)
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert f"embeddings {vectors} line 2:" in caplog.text
+    assert not model.exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` takes about a second to import; no command needs it."""
+    src = os.path.dirname(os.path.dirname(stackprop.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import stackprop.cli, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _leaf_fields(obj, prefix=""):

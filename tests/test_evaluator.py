@@ -1,20 +1,15 @@
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import ttest_rel
 
 from stackprop.corpus import Sentence
 from stackprop.errors import StackpropError
 from stackprop.evaluator import (
-    EvalReport,
     attachment_scores,
     cascade_breakdown,
     is_punctuation,
     nearest_neighbors,
-    paired_significance,
-    paired_t_statistic,
     tag_accuracy,
 )
 
@@ -180,50 +175,6 @@ def test_cascade_corpus_size_mismatch_errors(short):
         cascade_breakdown(corpora["gold"], corpora["parsed"], corpora["reference"])
 
 
-def fake_report(scores):
-    return EvalReport(
-        uas=0.0, las=0.0, pos_acc=None, n_tokens=1, per_sentence=[(s, s) for s in scores]
-    )
-
-
-def test_identical_reports_give_p_one():
-    r = fake_report([0.5, 0.7, 0.9])
-    assert paired_significance(r, r) == 1.0
-
-
-def test_constant_difference_is_significant():
-    a = fake_report([0.8 + 0.1 * ((i % 3) - 1) for i in range(30)])
-    b = fake_report([s - 0.05 for s, _ in a.per_sentence])
-    assert paired_significance(a, b) < 0.001
-
-
-def test_too_few_sentences_errors():
-    with pytest.raises(StackpropError):
-        paired_significance(fake_report([0.5]), fake_report([0.6]))
-
-
-def test_t_statistic_matches_scipy_on_random_vectors():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        n = int(rng.integers(5, 40))
-        a = rng.uniform(size=n)
-        b = rng.uniform(size=n)
-        stat, dof = paired_t_statistic(a - b)
-        ref = ttest_rel(a, b)
-        assert stat == pytest.approx(ref.statistic, rel=1e-10)
-        assert dof == n - 1
-        p = paired_significance(fake_report(a), fake_report(b))
-        assert p == pytest.approx(ref.pvalue, rel=1e-10)
-
-
-def test_closed_form_t_for_constant_shift():
-    # all differences equal d with zero variance is excluded; perturb one
-    diffs = np.array([0.1] * 9 + [0.100001])
-    stat, dof = paired_t_statistic(diffs)
-    mean, sd = diffs.mean(), diffs.std(ddof=1)
-    assert stat == pytest.approx(mean / (sd / math.sqrt(10)))
-
-
 def overfit_tagger_model():
     from stackprop.synthetic import generate_corpus
     from stackprop.trainer import stackprop_train
@@ -300,10 +251,10 @@ def test_neighbors_prefer_matching_context_over_matching_form():
     ranks = {(si, tj): r for r, (si, tj, _) in enumerate(hits)}
 
     def tag_at(si, tj):
-        return corpus[si].token(tj).gold_upos
+        return corpus[si].tokens[tj - 1].gold_upos
 
     best_other_noun = min(
         r for (si, tj), r in ranks.items()
-        if tag_at(si, tj) == "NOUN" and corpus[si].token(tj).form.lower() != form
+        if tag_at(si, tj) == "NOUN" and corpus[si].tokens[tj - 1].form.lower() != form
     )
     assert best_other_noun < ranks[places["VERB"]]

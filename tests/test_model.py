@@ -134,6 +134,7 @@ def _edit(*path, value=DROP):
         _edit("meta", "tagger_cfg", "colour", value=1),
         _edit("meta", "parser_cfg"),
         _edit("meta", "tagger_cfg", "hidden"),
+        _edit("meta", "parser_cfg", "hidden", value=0),
         _edit("meta", "vocabs", "prefix3"),
         _edit("meta", value=7),
     ],
@@ -141,7 +142,8 @@ def _edit(*path, value=DROP):
         "extra-group-key", "group-field-type", "bad-group-value", "group-vs-block-shape",
         "hidden-type", "shape-type", "missing-network", "network-not-object",
         "missing-step", "unknown-mode", "mode-type", "extra-config-key",
-        "missing-config", "missing-config-field", "missing-vocab", "meta-not-object",
+        "missing-config", "missing-config-field", "config-value-below-one", "missing-vocab",
+        "meta-not-object",
     ],
 )
 def test_malformed_header_raises_model_error(saved, edit):

@@ -89,7 +89,7 @@ def test_label_features_track_arcs():
     m = tiny_model()
     deriv = unroll(I_ATE_FISH, STD, m.labels)
     c = replay(I_ATE_FISH, deriv.actions()[:5], STD)
-    labs = label_features(c)
+    labs = label_features(c, feature_tokens(c))
     assert labs[0] == m.labels.id_of("nsubj")  # leftmost child of s0
     assert labs[1] == m.labels.id_of("obj")  # rightmost child of s0
     assert all(l == NULL_ID for l in labs[2:])
@@ -129,7 +129,7 @@ def test_featurize_rows_are_zero_based_and_offset():
     rows, labels = featurize([c], [0])
     assert rows.shape == (1, 20) and labels.shape == (1, 12)
     assert np.array_equal(rows[0], np.where(toks == NULL_TOKEN, -1, toks - 1))
-    assert np.array_equal(labels[0], label_features(c))
+    assert np.array_equal(labels[0], label_features(c, feature_tokens(c)))
     shifted, _ = featurize([c, c], [10, 0])
     assert np.array_equal(shifted[0], np.where(rows[0] == -1, -1, rows[0] + 10))
     assert np.array_equal(shifted[1], rows[0])
@@ -171,7 +171,7 @@ def test_parser_input_pipeline_layout():
             assert inputs["pwords"][0, i] == NULL_ID
         else:
             assert np.array_equal(inputs["tagdist"][0, i], acts.probs[tok - 1])
-            form = I_ATE_FISH.token(int(tok)).form.lower()
+            form = I_ATE_FISH.tokens[tok - 1].form.lower()
             assert inputs["pwords"][0, i] == m.forms.id_of(form)
 
 

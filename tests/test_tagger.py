@@ -1,9 +1,11 @@
 import unicodedata
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackprop.corpus import NULL_ID, UNKNOWN_ID, build_vocabs
+from stackprop.errors import CorpusError
 from stackprop.nnkernel import softmax_batch
 from stackprop.tagger import (
     AFFIXES,
@@ -232,7 +234,7 @@ def reference_ids(sentence, j, tv):
 
     def window(radius, value):
         return [
-            value(sentence.token(k).form) if 1 <= k <= n else NULL_ID
+            value(sentence.tokens[k - 1].form) if 1 <= k <= n else NULL_ID
             for k in range(j - radius, j + radius + 1)
         ]
 
@@ -242,7 +244,7 @@ def reference_ids(sentence, j, tv):
         "suffix2": lambda f: f.lower()[-2:],
         "suffix3": lambda f: f.lower()[-3:],
     }
-    out = {"symbols": list(symbol_flags(sentence.token(j).form)), "caps": window(1, cap_shape)}
+    out = {"symbols": list(symbol_flags(sentence.tokens[j - 1].form)), "caps": window(1, cap_shape)}
     for name, cut in cuts.items():
         out[name] = window(1, lambda f, name=name, cut=cut: tv.affixes[name].id_of(cut(f)))
     out["words"] = window(3, lambda f: tv.words.id_of(f.lower()))
@@ -392,6 +394,17 @@ def test_pretrained_embedding_loading(tmp_path):
     assert loaded == 1 and total == tv.words.size
     assert np.allclose(matrix[tv.words.id_of("alpha")], [1.0, 2.0, 3.0])
     assert np.allclose(matrix[tv.words.id_of("beta")], 0.0)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_pretrained_embeddings_reject_non_finite_values(tmp_path, value):
+    s = make_sentence([0, 1], forms=["alpha", "beta"])
+    tv, _ = build([s])
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"alpha 1.0 2.0 3.0\nbeta 4.0 {value} 6.0\n")
+    with pytest.raises(CorpusError) as e:
+        load_pretrained_embeddings(str(path), tv.words, np.zeros((tv.words.size, 3)))
+    assert str(e.value).startswith(f"embeddings {path} line 2: non-finite value")
 
 
 def test_pretrained_embeddings_with_trailing_space_or_crlf(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stackprop.corpus import NULL_ID, UNKNOWN_ID, Vocab, is_projective, projectivize
 from stackprop.errors import StackpropError, UnrollError
 from stackprop.transition import (
+    KINDS,
     LEFT_ARC,
     RIGHT_ARC,
     SHIFT,
@@ -18,9 +19,10 @@ from stackprop.transition import (
     apply,
     feature_tokens,
     featurize,
+    gold_record,
     initial,
+    is_legal,
     is_terminal,
-    legal_actions,
     oracle,
     projective_order,
     replay,
@@ -57,15 +59,19 @@ def test_initial_empty_sentence_errors():
         initial(Sentence([], id="e"))
 
 
+def legal_kinds(c, system):
+    return {k for k in KINDS if is_legal(c, k, system)}
+
+
 def test_legal_actions_basics():
     c = initial(I_ATE_FISH)
-    assert legal_actions(c, STD) == {SHIFT}
+    assert legal_kinds(c, STD) == {SHIFT}
     mid = replay(I_ATE_FISH, [Action(SHIFT)] * 3, STD)
-    assert legal_actions(mid, STD) == {LEFT_ARC, RIGHT_ARC}
+    assert legal_kinds(mid, STD) == {LEFT_ARC, RIGHT_ARC}
     # stack [ROOT, 1] with empty buffer: only RIGHT_ARC (1 cannot be a dependent of nothing)
     one = make_sentence([0])
     c = apply(initial(one), Action(SHIFT), STD)
-    assert legal_actions(c, STD) == {RIGHT_ARC}
+    assert legal_kinds(c, STD) == {RIGHT_ARC}
 
 
 def test_terminal_has_no_actions():
@@ -73,7 +79,7 @@ def test_terminal_has_no_actions():
     s = make_sentence([0])
     c = replay(s, unroll(s, STD, labels).actions(), STD)
     assert is_terminal(c)
-    assert legal_actions(c, STD) == set()
+    assert legal_kinds(c, STD) == set()
 
 
 def test_apply_shift_and_arcs(simple_vocabs):
@@ -122,10 +128,11 @@ def test_i_ate_fish_hand_trace(simple_vocabs):
 
 def test_oracle_on_i_ate_fish(simple_vocabs):
     labels, _ = simple_vocabs
+    record = gold_record(I_ATE_FISH, ActionSpace(labels, None, STD, NULL_ID))
     c = initial(I_ATE_FISH)
-    assert oracle(c, I_ATE_FISH, STD, labels).kind == SHIFT
+    assert oracle(c, I_ATE_FISH, STD, record).kind == SHIFT
     c = replay(I_ATE_FISH, [Action(SHIFT), Action(SHIFT)], STD)
-    a = oracle(c, I_ATE_FISH, STD, labels)
+    a = oracle(c, I_ATE_FISH, STD, record)
     assert a.kind == LEFT_ARC and a.label == labels.id_of("nsubj")
 
 
@@ -210,7 +217,7 @@ def test_every_derivation_step_is_legal():
         d = unroll(s, SWAPSYS, labels)
         c = initial(s)
         for a in d.actions():
-            assert a.kind in legal_actions(c, SWAPSYS)
+            assert a.kind in legal_kinds(c, SWAPSYS)
             apply(c, a, SWAPSYS)
         assert is_terminal(c)
 
@@ -328,7 +335,7 @@ def test_root_attachment_waits_for_empty_buffer(simple_vocabs):
         legal = [space.decode(i) for i in np.nonzero(space.legal_mask(c))[0]]
         assert legal == [Action(SHIFT)]
     # the unmasked kinds still allow it, so multi-root gold trees unroll
-    assert RIGHT_ARC in legal_actions(c, STD)
+    assert RIGHT_ARC in legal_kinds(c, STD)
 
 
 def test_greedy_decode_with_arbitrary_scorer_terminates(simple_vocabs):
@@ -514,17 +521,17 @@ def random_reachable(system, n, rng, labels, tags):
     root_exclusive=st.booleans(),
 )
 def test_one_legality_definition(n, seed, system, root_exclusive):
-    """Over random reachable configurations, ``legal_actions`` (built from
-    ``is_legal``) lists the kinds the rules allow, ``apply`` accepts an
-    action exactly when its kind is listed, and ``legal_mask`` allows only
-    actions of listed kinds, and every listed kind except a RIGHT_ARC that
-    the root rules hold back until the buffer is empty."""
+    """Over random reachable configurations, ``is_legal`` allows the kinds
+    the rules allow, ``apply`` accepts an action exactly when ``is_legal``
+    allows its kind, and ``legal_mask`` allows only actions of allowed
+    kinds, and every allowed kind except a RIGHT_ARC that the root rules
+    hold back until the buffer is empty."""
     system = SYSTEMS[system]
     rng = np.random.default_rng(seed)
     labels, tags = Vocab(["root", "dep", "nsubj"]), Vocab(["NOUN", "VERB"])
     c = random_reachable(system, n, rng, labels, tags)
     space = ActionSpace(labels, tags, system, labels.id_of("root"), root_exclusive)
-    kinds = legal_actions(c, system)
+    kinds = legal_kinds(c, system)
     assert kinds == reference_legal_kinds(c, system)
     mask = space.legal_mask(c)
     allowed = {space.decode(i).kind for i in np.nonzero(mask)[0]}
