@@ -20,7 +20,10 @@ dimension, into aligned pieces above OpenBLAS's small-matrix path, so every
 output element is summed as in the whole product and results do not depend
 on the core count. Importing this module pins numpy's bundled OpenBLAS to
 one thread for the whole process, so that split is the only parallel work:
-OpenBLAS's own threads follow the core count and round differently.
+OpenBLAS's own threads follow the core count and round differently. The
+``scipy_openblas_*`` names ``_openblas`` looks up belong to numpy's own
+bundled OpenBLAS (numpy wheels ship the scipy-openblas build), not to
+scipy, which the library does not use.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import ctypes
 import hashlib
 import itertools
 import json
+import math
 import os
 import struct
 from collections.abc import Mapping
@@ -41,7 +45,6 @@ from types import MappingProxyType
 from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from stackprop.errors import ModelError, StackpropError
 
@@ -137,7 +140,12 @@ class OptimizerConfig:
     averaging_start: int = 0
 
     def __post_init__(self):
-        if self.eta0 <= 0 or not 0 <= self.mu < 1 or self.gamma <= 0 or self.batch_size < 1:
+        if (
+            not 0 < self.eta0 < math.inf
+            or not 0 < self.gamma < math.inf
+            or not 0 <= self.mu < 1
+            or self.batch_size < 1
+        ):
             raise StackpropError(f"bad optimizer config {self}")
 
 
@@ -430,15 +438,13 @@ def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, D) sums of the (N, D) ``rows`` by their ids in [0, n): row ``i``
     of the result adds up every ``rows[j]`` with ``ids[j] == i``.
 
-    A one-hot CSR product whose columns are ordered by ``j`` within each row,
-    so every sum starts at zero and adds its rows in input order, as
-    ``np.add.at`` does: the result is bit-identical to it.
+    One flat ``np.bincount``: element ``rows[j, c]`` lands in bin
+    ``ids[j] * D + c``. Each bin starts at zero and adds its elements in
+    input order, as ``np.add.at`` does: the result is bit-identical to it.
     """
-    order = np.argsort(ids, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
-    onehot = csr_array((np.ones(ids.size, dtype=DTYPE), order, indptr), shape=(n, ids.size))
-    return onehot @ rows
+    d = rows.shape[1]
+    bins = (ids[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
 def asgd_step(

@@ -184,26 +184,54 @@ def tag_sentences(
     return preds, acts
 
 
-def load_pretrained_embeddings(path: str, vocab: Vocab, matrix: np.ndarray) -> tuple[int, int]:
-    """Initialize word-embedding rows from a UTF-8 text file of "form v1 .. vD"
-    lines. Lines of another width are skipped, and a row is written only for
-    a form in ``vocab``; returns (rows initialized, vocabulary size). Bytes
-    that do not decode, or a written row with a value that is not a finite
-    number, raise ``CorpusError`` naming the line."""
-    loaded = 0
-    dim = matrix.shape[1]
+@dataclass(frozen=True)
+class PretrainedVectors:
+    """The numbered lines of a UTF-8 text file of "form v1 .. vD" lines that
+    can fill a row over some vocabulary (``read_pretrained_vectors``)."""
+
+    path: str
+    lines: list[tuple[int, bytes]]
+
+
+def read_pretrained_vectors(path: str, forms: Vocab) -> PretrainedVectors:
+    """One read of a word-vector file: the lines whose lowercased form is in
+    ``forms``, up to and including the first line that does not decode
+    (every fill raises at or before it). They fill blocks over ``forms`` or
+    any vocabulary within it as the whole file would."""
+    lines = []
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             try:
-                parts = raw.decode("utf-8").rstrip().split(" ")  # word2vec ends lines with a space
-                form = parts[0].lower()
-                if len(parts) != dim + 1 or form not in vocab:
-                    continue
-                row = np.array([float(x) for x in parts[1:]])
-            except ValueError as e:  # undecodable bytes, or a value float() rejects
-                raise CorpusError(f"embeddings {path} line {lineno}: {e}") from None
-            if not np.isfinite(row).all():
-                raise CorpusError(f"embeddings {path} line {lineno}: non-finite value {row}")
-            matrix[vocab.id_of(form)] = row
-            loaded += 1
+                form = raw.decode("utf-8").rstrip().split(" ", 1)[0].lower()
+            except UnicodeDecodeError:
+                lines.append((lineno, raw))
+                break
+            if form in forms:
+                lines.append((lineno, raw))
+    return PretrainedVectors(path, lines)
+
+
+def load_pretrained_embeddings(
+    vectors: PretrainedVectors, vocab: Vocab, matrix: np.ndarray
+) -> tuple[int, int]:
+    """Initialize word-embedding rows from the lines of ``vectors``. Lines of
+    another width are skipped, and a row is written only for a form in
+    ``vocab``; returns (rows initialized, vocabulary size). Bytes that do not
+    decode, or a written row with a value that is not a finite number, raise
+    ``CorpusError`` naming the line."""
+    loaded = 0
+    dim = matrix.shape[1]
+    for lineno, raw in vectors.lines:
+        try:
+            parts = raw.decode("utf-8").rstrip().split(" ")  # word2vec ends lines with a space
+            form = parts[0].lower()
+            if len(parts) != dim + 1 or form not in vocab:
+                continue
+            row = np.array([float(x) for x in parts[1:]])
+        except ValueError as e:  # undecodable bytes, or a value float() rejects
+            raise CorpusError(f"embeddings {vectors.path} line {lineno}: {e}") from None
+        if not np.isfinite(row).all():
+            raise CorpusError(f"embeddings {vectors.path} line {lineno}: non-finite value {row}")
+        matrix[vocab.id_of(form)] = row
+        loaded += 1
     return loaded, vocab.size

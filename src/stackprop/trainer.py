@@ -44,10 +44,12 @@ from stackprop.parser import parse_corpus, parser_input, token_tables
 from stackprop.tagger import (
     GROUP_ORDER,
     WORD_WINDOW,
+    PretrainedVectors,
     TaggerActivations,
     TaggerConfig,
     encode_sentence,
     load_pretrained_embeddings,
+    read_pretrained_vectors,
     tag_sentences,
 )
 from stackprop.transition import N_LABEL_TEMPLATES, template_rows, unroll
@@ -69,6 +71,8 @@ class TrainingSchedule:
     def __post_init__(self):
         if min(self.parser_epochs, self.tagger_epochs, self.tagger_pretrain_epochs) < 0:
             raise StackpropError("epoch counts must be non-negative")
+        if not 0 <= self.lambda_weight < math.inf or self.patience < 1 or self.seed < 0:
+            raise StackpropError(f"bad training schedule {self}")
 
 
 @dataclass
@@ -407,10 +411,15 @@ def joint_train(
 
 
 def _fresh_model(
-    mode: str, sentences: list[Sentence], settings: TrainSettings, rng: np.random.Generator
+    mode: str,
+    sentences: list[Sentence],
+    settings: TrainSettings,
+    rng: np.random.Generator,
+    vectors: Optional[PretrainedVectors],
 ) -> tuple[StackedModel, EncodedCorpus]:
-    """A model for ``sentences`` seeded from ``rng`` (pretrained word vectors
-    loaded when configured), and the sentences encoded for it."""
+    """A model for ``sentences`` seeded from ``rng``, its word-embedding
+    blocks filled from ``vectors`` (when given), and the sentences encoded
+    for it."""
     model = build_model(
         mode,
         sentences,
@@ -419,18 +428,23 @@ def _fresh_model(
         swap=settings.swap,
         seed=int(rng.integers(2**31)),
     )
-    _maybe_load_embeddings(model, settings)
+    for net, block in ((model.tagger, "E_words"), (model.parser, "E_pwords")):
+        if vectors is not None and block in net.params:
+            loaded, total = load_pretrained_embeddings(vectors, model.forms, net.params[block])
+            log.info("pretrained embeddings: initialized %d of %d rows of %s", loaded, total, block)
     return model, encode_training_data(sentences, model)
 
 
-def _maybe_load_embeddings(model: StackedModel, settings: TrainSettings) -> None:
-    """Pretrained vectors into every word-embedding block the variant has."""
-    for net, block in ((model.tagger, "E_words"), (model.parser, "E_pwords")):
-        if settings.embeddings_path and block in net.params:
-            loaded, total = load_pretrained_embeddings(
-                settings.embeddings_path, model.forms, net.params[block]
-            )
-            log.info("pretrained embeddings: initialized %d of %d rows of %s", loaded, total, block)
+def _read_vectors(
+    settings: TrainSettings, sentences: list[Sentence]
+) -> Optional[PretrainedVectors]:
+    """The configured pretrained word vectors, read once for the forms of
+    ``sentences``: every model trained on a part of them fills its blocks
+    from this read. None when no file is configured."""
+    if not settings.embeddings_path:
+        return None
+    forms, _, _ = build_vocabs(sentences)
+    return read_pretrained_vectors(settings.embeddings_path, forms)
 
 
 def jackknife_tags(
@@ -438,12 +452,14 @@ def jackknife_tags(
     settings: TrainSettings,
     seed: int = 0,
     global_tags: Optional[Vocab] = None,
+    vectors: Optional[PretrainedVectors] = None,
 ) -> tuple[list[Sentence], np.ndarray, list[StackedModel]]:
     """Fill pred_upos on a corpus with k-fold jackknifed tags, k being
     ``settings.jackknife_folds``.
 
     Each contiguous fold is tagged by a tagger trained only on the other
-    folds (its own vocabularies included). Returns the annotated corpus, the
+    folds (its own vocabularies included) and starts from the pretrained
+    ``vectors``, read here when not given. Returns the annotated corpus, the
     per-token tag distributions mapped into ``global_tags`` class order, and
     the fold models.
     """
@@ -452,6 +468,8 @@ def jackknife_tags(
         raise StackpropError(f"corpus of {n} sentences cannot be split into {k} folds")
     if global_tags is None:
         _, global_tags, _ = build_vocabs(sentences)
+    if vectors is None:
+        vectors = _read_vectors(settings, sentences)
     bounds = [round(i * n / k) for i in range(k + 1)]
     rng = np.random.default_rng(seed)
     annotated: list[Sentence] = list(sentences)
@@ -462,7 +480,7 @@ def jackknife_tags(
     for lo, hi in zip(bounds, bounds[1:]):
         held_out = sentences[lo:hi]
         rest = sentences[:lo] + sentences[hi:]
-        fold_model, data = _fresh_model(STACKPROP, rest, settings, rng)
+        fold_model, data = _fresh_model(STACKPROP, rest, settings, rng, vectors)
         train_tagger_only(fold_model, data, epochs, settings.optimizer, rng)
         fold_models.append(fold_model)
         class_map = np.array(
@@ -508,7 +526,8 @@ def train_variant(
     distributions and decodes with the final tagger's."""
     schedule = settings.schedule
     rng = np.random.default_rng(schedule.seed)
-    model, data = _fresh_model(mode, train, settings, rng)
+    vectors = _read_vectors(settings, train)
+    model, data = _fresh_model(mode, train, settings, rng, vectors)
     if data.skipped or data.projectivized:
         (log.warning if data.skipped else log.info)(
             "training sentences: %d projectivized, %d unrollable skipped",
@@ -518,7 +537,8 @@ def train_variant(
     if not model.variant.stacked:
         # the encoder may have projectivized/dropped sentences; jackknife the kept ones
         _, train_dists, _ = jackknife_tags(
-            data.sentences, settings, seed=int(rng.integers(2**31)), global_tags=model.tags
+            data.sentences, settings, seed=int(rng.integers(2**31)), global_tags=model.tags,
+            vectors=vectors,
         )
         epochs = schedule.tagger_pretrain_epochs + schedule.tagger_epochs
         train_tagger_only(model, data, epochs, settings.optimizer, rng)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stackprop
 from stackprop import nnkernel
@@ -553,6 +553,29 @@ def test_average_is_read_only_and_set_average_writes_it():
         net.set_average("nope", 0.0)
 
 
+@st.composite
+def scatters(draw):
+    """(ids, rows, n): Zipf-skewed ids in [0, n), id 0 the most repeated,
+    and (N, D) rows of either sign spanning 1e-8 to 1e8 in magnitude, some
+    of them zeros of either sign."""
+    n = draw(st.integers(1, 8000))
+    d = draw(st.integers(1, 130))
+    count = draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = (rng.zipf(draw(st.floats(1.1, 3.0)), size=count) - 1) % n
+    magnitudes = 10.0 ** rng.uniform(-8, 8, size=(count, d))
+    magnitudes[rng.random((count, d)) < draw(st.floats(0.0, 0.5))] = 0.0
+    return ids, rng.choice([-1.0, 1.0], size=(count, d)) * magnitudes, n
+
+
+def assert_scatter_matches_add_at(ids, rows, n):
+    expected = np.zeros((n, rows.shape[1]))
+    np.add.at(expected, ids, rows)
+    got = scatter_rows(ids, rows, n)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize(
     "ids, n",
     [
@@ -565,11 +588,14 @@ def test_average_is_read_only_and_set_average_writes_it():
 def test_scatter_rows_is_bit_identical_to_add_at(ids, n):
     ids = np.array(ids, dtype=np.int64)
     rows = np.random.default_rng(len(ids)).normal(size=(len(ids), 7))
-    expected = np.zeros((n, 7))
-    np.add.at(expected, ids, rows)
-    got = scatter_rows(ids, rows, n)
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    assert_scatter_matches_add_at(ids, rows, n)
+
+
+@settings(deadline=None)
+@given(case=scatters())
+@example(case=(np.zeros(0, dtype=np.int64), np.zeros((0, 7)), 3))  # no rows
+def test_scatter_rows_is_bit_identical_to_add_at_on_drawn_cases(case):
+    assert_scatter_matches_add_at(*case)
 
 
 def test_dense_embedding_gradient_matches_einsum():

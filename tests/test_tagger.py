@@ -22,6 +22,7 @@ from stackprop.tagger import (
     cap_shape,
     encode_sentence,
     load_pretrained_embeddings,
+    read_pretrained_vectors,
     symbol_flags,
     tag_sentences,
     tagger_groups,
@@ -380,6 +381,11 @@ def test_tag_sentences_of_no_sentences_gives_empty_tables():
     assert acts.words.shape == (0,) and acts.words.dtype == np.int64
 
 
+def load_vectors(path, vocab, matrix):
+    """One read of the file at ``path``, then the rows it fills."""
+    return load_pretrained_embeddings(read_pretrained_vectors(str(path), vocab), vocab, matrix)
+
+
 def test_pretrained_embedding_loading(tmp_path):
     s = make_sentence([0, 1], forms=["alpha", "beta"])
     tv, _ = build([s])
@@ -390,7 +396,7 @@ def test_pretrained_embedding_loading(tmp_path):
         "beta 4.0 5.0\n"  # wrong width: skipped
     )
     matrix = np.zeros((tv.words.size, 3))
-    loaded, total = load_pretrained_embeddings(str(path), tv.words, matrix)
+    loaded, total = load_vectors(path, tv.words, matrix)
     assert loaded == 1 and total == tv.words.size
     assert np.allclose(matrix[tv.words.id_of("alpha")], [1.0, 2.0, 3.0])
     assert np.allclose(matrix[tv.words.id_of("beta")], 0.0)
@@ -403,7 +409,7 @@ def test_pretrained_embeddings_reject_non_finite_values(tmp_path, value):
     path = tmp_path / "vecs.txt"
     path.write_text(f"alpha 1.0 2.0 3.0\nbeta 4.0 {value} 6.0\n")
     with pytest.raises(CorpusError) as e:
-        load_pretrained_embeddings(str(path), tv.words, np.zeros((tv.words.size, 3)))
+        load_vectors(path, tv.words, np.zeros((tv.words.size, 3)))
     assert str(e.value).startswith(f"embeddings {path} line 2: non-finite value")
 
 
@@ -419,7 +425,7 @@ def test_pretrained_embeddings_with_trailing_space_or_crlf(tmp_path):
         path = tmp_path / name
         path.write_bytes(text.encode("utf-8"))
         matrix = np.zeros((tv.words.size, 3))
-        loaded, _ = load_pretrained_embeddings(str(path), tv.words, matrix)
+        loaded, _ = load_vectors(path, tv.words, matrix)
         assert loaded == 2, name
         assert np.array_equal(matrix[tv.words.id_of("alpha")], [1.0, 2.0, 3.0])
         assert np.array_equal(matrix[tv.words.id_of("beta")], [4.0, 5.0, 6.0])

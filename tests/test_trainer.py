@@ -491,6 +491,34 @@ def test_tagger_alone_divergence_raises():
         jackknife_tags(generate_corpus(30, seed=1), s)
 
 
+def test_pipeline_reads_the_embeddings_file_once(tmp_path, monkeypatch, caplog):
+    """One read of the word-vector file fills the model's word blocks and
+    every jackknife fold tagger's."""
+    corpus = generate_corpus(12, seed=4)
+    forms = sorted({t.form.lower() for sent in corpus for t in sent.tokens})
+    path = tmp_path / "vecs.txt"
+    path.write_text("".join(f"{f} " + " ".join(["0.5"] * 8) + "\n" for f in forms))
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    s = tiny_settings(parser_epochs=1, tagger_epochs=1)
+    s.jackknife_folds = 2
+    s.embeddings_path = str(path)
+    with caplog.at_level(logging.INFO, logger="stackprop"):
+        pipeline_train(corpus, None, s)
+    fills = [r.getMessage() for r in caplog.records if "pretrained embeddings" in r.getMessage()]
+    assert len(opened) == 1
+    # E_words and E_pwords of the model, then E_words of each fold tagger
+    assert [m.rsplit(" ", 1)[1] for m in fills] == ["E_words", "E_pwords", "E_words", "E_words"]
+    assert all(f"initialized {len(forms)} of" in m for m in fills[:2])
+
+
 def test_swap_training_on_nonprojective_corpus():
     corpus = generate_corpus(16, seed=12, p_nonproj=0.5)
     from stackprop.corpus import is_projective
