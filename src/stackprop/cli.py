@@ -276,11 +276,16 @@ def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
             f", {stats.parser_evals / stats.parser_batches:.1f} configurations per parser forward"
             if stats.parser_batches else ""
         )
+        unscored = (
+            f", {100 * (stats.transitions - stats.parser_evals) / stats.transitions:.1f}%"
+            " of transitions taken without a parser forward"
+            if stats.transitions else ""
+        )
         log.info(
-            "processed %d sentences in %.2fs (%.1f sentences/s, %.1f network evals/s%s, "
+            "processed %d sentences in %.2fs (%.1f sentences/s, %.1f network evals/s%s%s, "
             "%d kernel workers)",
             stats.sentences, seconds, stats.sentences / seconds, evals / seconds, batching,
-            kernel_workers(),
+            unscored, kernel_workers(),
         )
     return EXIT_OK
 

@@ -4,9 +4,13 @@ Feature templates (``transition.featurize``) index tokens in the
 configuration; the selected tokens' tagger activations form the parser's
 dense input group (discrete label ids of already-built arcs form the other).
 Sentences are decoded in lockstep groups. Each group is tagged once
-(``tag_sentences``) and its per-token tables built once; every step indexes
-those tables and scores every live configuration of the group with one
-parser forward.
+(``tag_sentences``) and its per-token tables built once. A step at which
+some live configuration has a choice of action indexes those tables and
+scores every live configuration of the group with one parser forward. A
+step at which each has a single legal action applies them without one:
+outside the joint system, a SHIFT from ``[ROOT]``, or from ``[ROOT, x]``
+while the buffer is not empty; under a root-exclusive label, the last
+attachment to the root.
 """
 
 from __future__ import annotations
@@ -85,13 +89,15 @@ class ParseStats:
     sentences: int = 0
     tokens: int = 0  # also the tagger evaluations: one per token
     parser_evals: int = 0  # configurations scored
-    parser_batches: int = 0  # parser forward calls (one per lockstep step)
+    parser_batches: int = 0  # parser forward calls
+    transitions: int = 0  # actions applied, with or without a parser forward
 
     def add(self, other: "ParseStats") -> None:
         self.sentences += other.sentences
         self.tokens += other.tokens
         self.parser_evals += other.parser_evals
         self.parser_batches += other.parser_batches
+        self.transitions += other.transitions
 
 
 def _decode(
@@ -101,9 +107,10 @@ def _decode(
     tag_only: bool = False,
 ) -> tuple[list[Sentence], list[np.ndarray], ParseStats]:
     """Greedy lockstep decode of a group of sentences: the group is tagged
-    once and its token tables built once, then at every step one parser
-    forward scores all configurations still live; each applies its best
-    legal action, and a configuration is retired once terminal. Returns the
+    once and its token tables built once. At every step each configuration
+    still live applies its best legal action, and a configuration is retired
+    once terminal. One parser forward scores all of them, unless each has
+    a single legal action, which it applies unscored. Returns the
     parsed sentences, each one's tagger hidden rows and the group's counts.
     ``tag_only`` stops after tagging: each sentence gets the tagger's tags
     and keeps its input heads and labels."""
@@ -116,20 +123,27 @@ def _decode(
     configs = [initial(s) for s in sentences]
     live = [] if tag_only else list(range(len(sentences)))
     stats = ParseStats(sentences=len(sentences), tokens=bounds[-1])
+    actions = model.actions
     while live:
-        logits = score_actions(
-            [configs[i] for i in live], [bounds[i] for i in live], model, tables, params
-        )
-        for i, scores in zip(live, logits):
-            mask = model.actions.legal_mask(configs[i])
-            if not mask.any():
-                raise StackpropError(
-                    f"non-terminal configuration with no legal action: {configs[i]}"
-                )
-            scores[~mask] = -np.inf
-            apply(configs[i], model.actions.decode(int(np.argmax(scores))), model.system)
-        stats.parser_evals += len(live)
-        stats.parser_batches += 1
+        mask = np.stack([actions.legal_mask(configs[i]) for i in live])
+        n_legal = mask.sum(1)
+        if not n_legal.all():
+            i = live[int(np.argmin(n_legal))]
+            raise StackpropError(f"non-terminal configuration with no legal action: {configs[i]}")
+        if (n_legal == 1).all():
+            picks = mask.argmax(1)  # every configuration is forced: nothing to score
+        else:
+            # every live configuration is a row, forced ones too: fewer rows
+            # would move the product to other BLAS kernels and change bits
+            logits = score_actions(
+                [configs[i] for i in live], [bounds[i] for i in live], model, tables, params
+            )
+            picks = np.where(mask, logits, -np.inf).argmax(1)
+            stats.parser_evals += len(live)
+            stats.parser_batches += 1
+        for i, a in zip(live, picks.tolist()):
+            apply(configs[i], actions.decode(a), model.system)
+        stats.transitions += len(live)
         live = [i for i in live if not is_terminal(configs[i])]
     if fill_tags is None:
         fill_tags = not model.variant.stacked
@@ -157,7 +171,7 @@ def parse_sentence(
 ) -> Sentence:
     """Greedy decode of one sentence: one tagger pass for activations, then
     repeatedly score, mask illegal actions, and apply the argmax until
-    terminal.
+    terminal. A step with a single legal action applies it unscored.
 
     Returns a copy with pred_head/pred_deprel set (and pred_upos in the joint
     system, or from the tagger softmax when ``fill_tags`` is true, which is

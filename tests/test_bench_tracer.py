@@ -81,8 +81,10 @@ def test_tracer_reaches_every_transition_and_feature_span(monkeypatch):
     steps = data.n_parse_examples
     assert counts["transition.unroll"] == len(corpus)
     assert counts["transition.oracle"] == steps
-    assert counts["transition.apply"] == steps + stats.parser_evals
-    # feature_tokens and label_features per configuration, one gather per forward
+    # one apply per action, whether or not a parser forward scored it
+    assert counts["transition.apply"] == steps + stats.transitions
+    # feature_tokens and label_features per configuration scored, one gather
+    # per forward
     assert counts["parser.feature"] == 2 * (steps + stats.parser_evals) + stats.parser_batches
     assert counts["tagger.encode_sentence"] == 1 + 2
     assert counts["tagger.tag_sentence"] == len(corpus)

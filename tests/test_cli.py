@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -23,7 +24,9 @@ from stackprop.cli import (
 )
 from stackprop.corpus import emit_conllu, parse_conllu, read_conllu
 from stackprop.errors import CorpusError
+from stackprop.model import load
 from stackprop.nnkernel import blas_build, kernel_workers
+from stackprop.parser import parse_corpus
 from stackprop.synthetic import generate_corpus
 
 TINY_FLAGS = [
@@ -97,12 +100,20 @@ def test_parse_roundtrip_and_threads(trained_model, workdir, capsys):
 
 
 def test_parse_logs_configurations_per_parser_forward(trained_model, workdir, caplog):
+    """The stats line also gives the share of actions applied at steps where
+    every configuration had one legal action; in this (non-joint) mode every
+    derivation starts with such a step, a SHIFT from ``[ROOT]``."""
     caplog.set_level(logging.INFO, logger="stackprop")
     rc = main(["parse", "--model", str(trained_model), "--input",
                str(workdir / "dev.conllu"), "--output", os.devnull])
     assert rc == 0
     assert "configurations per parser forward" in caplog.text
     assert f"{kernel_workers()} kernel workers)" in caplog.text
+    share = re.search(r"([\d.]+)% of transitions taken without a parser forward", caplog.text)
+    _, stats = parse_corpus(load_corpus(str(workdir / "dev.conllu")), load(str(trained_model)))
+    unscored = stats.transitions - stats.parser_evals
+    assert 0 < unscored < stats.transitions
+    assert share and share.group(1) == f"{100 * unscored / stats.transitions:.1f}"
 
 
 def test_tag_logs_kernel_workers(trained_model, workdir, caplog):

@@ -9,6 +9,7 @@ from stackprop.errors import StackpropError
 from stackprop.model import (
     JOINT,
     JOINT_STACKPROP,
+    MODES,
     PIPELINE,
     STACKPROP,
     ParserNetworkConfig,
@@ -34,7 +35,9 @@ from stackprop.transition import (
     Action,
     ActionSpace,
     TransitionSystem,
+    apply,
     initial,
+    is_terminal,
     replay,
     unroll,
 )
@@ -356,25 +359,110 @@ def _row_counter(module, rows):
 
 
 def test_lockstep_one_parser_forward_per_step(monkeypatch):
-    """A group's parser forwards equal its longest derivation, not the sum of
-    all derivations; each forward scores every still-live configuration."""
+    """A group's parser forwards are the steps at which some live
+    configuration has a choice of action, not the sum over derivations; each
+    scores every still-live configuration, so the rows only shrink, and a
+    step at which every configuration has one legal action scores nothing."""
     corpus = generate_corpus(12, seed=21, p_nonproj=0.3)
     m = tiny_model(corpus, seed=2)
-    steps = []
+    n_legal = []
+    real_mask = m.actions.legal_mask
+
+    def counting_mask(c):
+        mask = real_mask(c)
+        n_legal.append(mask.sum())
+        return mask
+
+    monkeypatch.setattr(m.actions, "legal_mask", counting_mask)
+    steps, choices = [], set()
     for s in corpus:
+        n_legal.clear()
         _, one = parse_corpus([s], m)
-        assert one.parser_batches == one.parser_evals
-        steps.append(one.parser_evals)
+        assert one.transitions == len(n_legal)
+        assert one.parser_batches == one.parser_evals == sum(k > 1 for k in n_legal)
+        steps.append(len(n_legal))
+        choices |= {t for t, k in enumerate(n_legal) if k > 1}
     parser_rows, tagger_rows = [], []
     monkeypatch.setattr(parser_mod, "forward_batch", _row_counter(parser_mod, parser_rows))
     monkeypatch.setattr(tagger_mod, "forward_batch", _row_counter(tagger_mod, tagger_rows))
     _, stats = parse_corpus(corpus, m)
-    assert len(parser_rows) == stats.parser_batches == max(steps) < sum(steps)
-    assert sum(parser_rows) == stats.parser_evals == sum(steps)
-    # configurations retire once terminal: the batch only shrinks
-    assert parser_rows[0] == len(corpus)
+    live = [sum(n > t for n in steps) for t in sorted(choices)]
+    assert parser_rows == live
+    assert len(parser_rows) == stats.parser_batches < max(steps)
+    assert sum(parser_rows) == stats.parser_evals < stats.transitions == sum(steps)
     assert parser_rows == sorted(parser_rows, reverse=True)
     assert sum(tagger_rows) == stats.tokens == sum(len(s) for s in corpus)
+
+
+def reference_decode(sentences, m):
+    """The lockstep loop that scores every step: one parser forward over all
+    live configurations, then each row's masked argmax. Returns the final
+    configurations, each sentence's tagger hidden rows and the number of
+    steps at which some live configuration had two or more legal actions."""
+    _, acts = tag_sentences(sentences, m.tagger, m.tvocabs, m.tags)
+    bounds = np.cumsum([0] + [len(s) for s in sentences]).tolist()
+    params = m.parser.inference_params()
+    tables = token_tables(m, params, acts)
+    configs = [initial(s) for s in sentences]
+    live = list(range(len(sentences)))
+    choice_steps = 0
+    while live:
+        logits = score_actions(
+            [configs[i] for i in live], [bounds[i] for i in live], m, tables, params
+        )
+        masks = [m.actions.legal_mask(configs[i]) for i in live]
+        choice_steps += any(mask.sum() > 1 for mask in masks)
+        for i, scores, mask in zip(live, logits, masks):
+            scores[~mask] = -np.inf
+            apply(configs[i], m.actions.decode(int(np.argmax(scores))), m.system)
+        live = [i for i in live if not is_terminal(configs[i])]
+    return configs, [acts.hidden[lo:hi] for lo, hi in zip(bounds, bounds[1:])], choice_steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**31 - 1),
+    swap=st.booleans(),
+    mode=st.sampled_from(MODES),
+    scale=st.sampled_from([0.01, 1.0, 10.0]),
+    group=st.sampled_from([1, 3, parser_mod.LOCKSTEP_SENTENCES]),
+    threads=st.sampled_from([1, 3]),
+    data=st.data(),
+)
+def test_decode_matches_the_loop_that_scores_every_step(
+    n, seed, swap, mode, scale, group, threads, data
+):
+    """Random corpora of mixed lengths, 1-token sentences among them, and
+    random parser weights: skipping the forward at steps where every live
+    configuration has one legal action gives the parses and hidden rows of
+    the loop that scores every step, and a forward at every other step."""
+    corpus = generate_corpus(n, seed=seed, p_nonproj=0.3)
+    for k in data.draw(st.lists(st.integers(0, n), max_size=4), label="1-token at"):
+        corpus.insert(k, make_sentence([0], forms=[f"solo{k}"], tags=["NOUN"]))
+    m = build_model(mode, corpus, TCFG, PCFG, swap=swap, seed=seed)
+    rng = np.random.default_rng(seed)
+    for block in m.parser.params.values():
+        block[...] = rng.normal(scale=scale, size=block.shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser_mod, "LOCKSTEP_SENTENCES", group)
+        decoded = list(decode_groups(iter(corpus), m, threads=threads))
+    assert len(decoded) == -(-len(corpus) // group)
+    for k, (parsed, hidden, stats) in enumerate(decoded):
+        configs, ref_hidden, choice_steps = reference_decode(
+            corpus[k * group : (k + 1) * group], m
+        )
+        assert stats.parser_batches == choice_steps
+        for s, h, c, ref_h in zip(parsed, hidden, configs, ref_hidden, strict=True):
+            assert h.tobytes() == ref_h.tobytes()
+            assert [t.pred_head for t in s.tokens] == c.head[1:]
+            assert [t.pred_deprel for t in s.tokens] == [
+                m.labels.string_of(c.label[t.index]) for t in s.tokens
+            ]
+            if m.system.joint:
+                assert [t.pred_upos for t in s.tokens] == [
+                    m.tags.string_of(c.tags[t.index]) for t in s.tokens
+                ]
 
 
 def test_empty_sentence_in_corpus_raises_before_decoding(monkeypatch):
