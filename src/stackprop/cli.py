@@ -15,6 +15,7 @@ import sys
 import time
 from contextlib import ExitStack, nullcontext
 from dataclasses import replace
+from functools import partial
 from typing import ContextManager, Optional, TextIO
 
 import numpy as np
@@ -243,7 +244,7 @@ def _open_out(path: Optional[str]) -> ContextManager[TextIO]:
 
 def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
     m = model_mod.load(args.model)
-    oov = total_forms = 0
+    oov = 0
     stats = parser_mod.ParseStats()
     t0 = time.perf_counter()
     with ExitStack() as files:
@@ -258,17 +259,16 @@ def _annotate_stream(args: argparse.Namespace, tag_only: bool) -> int:
         ):
             stats.add(group_stats)
             for s, h in zip(parsed, hidden):
-                total_forms += len(s)
                 oov += sum(t.form.lower() not in m.forms for t in s.tokens)
                 if acts_out:
                     _dump_activations(acts_out, s, h)
             fout.write(corpus_mod.emit_conllu(parsed, use_predicted=True))
             fout.flush()
     seconds = time.perf_counter() - t0
-    if total_forms and oov / total_forms > 0.5:
+    if stats.tokens and oov / stats.tokens > 0.5:
         log.warning(
             "input vocabulary barely overlaps the model's (%.0f%% unknown forms); "
-            "proceeding with UNKNOWN mapping", 100 * oov / total_forms,
+            "proceeding with UNKNOWN mapping", 100 * oov / stats.tokens,
         )
     if stats.sentences and seconds > 0:
         evals = stats.tokens + stats.parser_evals
@@ -294,14 +294,6 @@ def _dump_activations(out: TextIO, sentence: Sentence, hidden: np.ndarray) -> No
     for t in sentence.tokens:
         vec = "\t".join(f"{x:.6g}" for x in hidden[t.index - 1])
         out.write(f"{sentence.id}\t{t.index}\t{t.form}\t{vec}\n")
-
-
-def cmd_parse(args: argparse.Namespace) -> int:
-    return _annotate_stream(args, tag_only=False)
-
-
-def cmd_tag(args: argparse.Namespace) -> int:
-    return _annotate_stream(args, tag_only=True)
 
 
 def _as_predicted(system: list[Sentence]) -> list[Sentence]:
@@ -362,15 +354,8 @@ def cmd_jackknife(args: argparse.Namespace) -> int:
     if args.model_prefix:
         for i, fm in enumerate(fold_models):
             model_mod.save(fm, f"{args.model_prefix}.fold{i}.model")
-    writable = [
-        Sentence(
-            [replace(t, pred_head=t.gold_head, pred_deprel=t.gold_deprel) for t in s.tokens],
-            id=s.id,
-        )
-        for s in annotated
-    ]
     with _open_out(args.output) as fout:
-        fout.write(corpus_mod.emit_conllu(writable, use_predicted=True))
+        fout.write(corpus_mod.emit_conllu(annotated, use_predicted=True))
     return EXIT_OK
 
 
@@ -445,9 +430,9 @@ def build_arg_parser() -> _Parser:
     add_train_flags(sp)
     sp.set_defaults(func=cmd_train)
 
-    for name, func, help_text in (
-        ("parse", cmd_parse, "parse CoNLL-U, writing predicted heads/labels"),
-        ("tag", cmd_tag, "tag CoNLL-U, writing predicted UPOS"),
+    for name, tag_only, help_text in (
+        ("parse", False, "parse CoNLL-U, writing predicted heads/labels"),
+        ("tag", True, "tag CoNLL-U, writing predicted UPOS"),
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--model", required=True)
@@ -456,7 +441,7 @@ def build_arg_parser() -> _Parser:
         sp.add_argument("--threads", type=positive_int, default=1)
         sp.add_argument("--emit-activations", dest="emit_activations",
                         help="dump per-token hidden vectors to this file")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=partial(_annotate_stream, tag_only=tag_only))
 
     sp = sub.add_parser("eval", help="score a system output against gold")
     sp.add_argument("--gold", required=True)

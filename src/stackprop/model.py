@@ -94,18 +94,27 @@ class StackedModel:
         return self.tagger.count_parameters() + self.parser.count_parameters()
 
 
-def parser_layout(
-    variant: Variant,
+def network_layouts(
+    mode: str,
+    swap: bool,
     tagger_cfg: TaggerConfig,
     parser_cfg: ParserNetworkConfig,
+    forms: Vocab,
     tags: Vocab,
     labels: Vocab,
-    forms: Vocab,
-) -> tuple[list[FeatureGroupSpec], dict[str, tuple[int, ...]]]:
-    """Parser input groups and extra blocks per variant: stacked variants
-    read 20 dense tagger activations, with a learned ``null_input`` row for
-    empty slots; the pipeline reads 20 raw tag distributions plus 20 word
-    embeddings. Both keep 12 discrete label features."""
+    tvocabs: TaggerVocabs,
+) -> dict[str, tuple[list[FeatureGroupSpec], int, int, dict[str, tuple[int, ...]]]]:
+    """The tagger's and the parser's layout for a model of ``mode`` over
+    these vocabularies and configs: feature groups, hidden width, output
+    width and extra blocks, as ``Network`` and ``block_shapes`` take them.
+    Stacked variants' parsers read 20 dense tagger activations, with a
+    learned ``null_input`` row for empty slots; the pipeline's reads 20 raw
+    tag distributions plus 20 word embeddings. Both keep 12 discrete label
+    features and score every action."""
+    variant = VARIANTS[mode]
+    system = TransitionSystem(swap=swap, joint=variant.joint)
+    # the action count does not depend on which label is the root one
+    n_actions = ActionSpace(labels, tags, system, labels.id_of("root")).size
     label_group = FeatureGroupSpec(
         "labels", N_LABEL_TEMPLATES, labels.size, parser_cfg.d_label
     )
@@ -113,12 +122,16 @@ def parser_layout(
         implicit = FeatureGroupSpec(
             "implicit", N_TOKEN_TEMPLATES, tagger_cfg.hidden, parser_cfg.d_implicit, dense=True
         )
-        return [implicit, label_group], {"null_input": (tagger_cfg.hidden,)}
-    tagdist = FeatureGroupSpec(
-        "tagdist", N_TOKEN_TEMPLATES, tags.n_classes, tags.n_classes, dense=True, embedded=False
-    )
-    pwords = FeatureGroupSpec("pwords", N_TOKEN_TEMPLATES, forms.size, parser_cfg.d_word)
-    return [tagdist, pwords, label_group], {}
+        groups, extra = [implicit, label_group], {"null_input": (tagger_cfg.hidden,)}
+    else:
+        tagdist = FeatureGroupSpec("tagdist", N_TOKEN_TEMPLATES, tags.n_classes, tags.n_classes,
+                                   dense=True, embedded=False)
+        pwords = FeatureGroupSpec("pwords", N_TOKEN_TEMPLATES, forms.size, parser_cfg.d_word)
+        groups, extra = [tagdist, pwords, label_group], {}
+    return {
+        "tagger": (tagger_groups(tvocabs, tagger_cfg), tagger_cfg.hidden, tags.n_classes, {}),
+        "parser": (groups, parser_cfg.hidden, n_actions, extra),
+    }
 
 
 def build_model(
@@ -133,21 +146,18 @@ def build_model(
     uniformly initialized parameters from the seed."""
     if mode not in VARIANTS:
         raise StackpropError(f"unknown mode {mode!r}")
-    variant = VARIANTS[mode]
     forms, tags, labels = build_vocabs(train_sentences)
     tvocabs = build_tagger_vocabs(train_sentences, forms)
     root_label, root_exclusive = root_label_of(train_sentences, labels)
-    system = TransitionSystem(swap=swap, joint=variant.joint)
     rng = np.random.default_rng(seed)
-    tagger = Network(
-        tagger_groups(tvocabs, tagger_cfg), tagger_cfg.hidden, tags.n_classes, rng
+    layouts = network_layouts(mode, swap, tagger_cfg, parser_cfg, forms, tags, labels, tvocabs)
+    tagger, parser = (
+        Network(groups, hidden, n_out, rng, extra)
+        for groups, hidden, n_out, extra in layouts.values()
     )
-    space = ActionSpace(labels, tags, system, root_label, root_exclusive)
-    groups, extra = parser_layout(variant, tagger_cfg, parser_cfg, tags, labels, forms)
-    parser = Network(groups, parser_cfg.hidden, space.size, rng, extra_blocks=extra)
     return StackedModel(
         mode,
-        system,
+        TransitionSystem(swap=swap, joint=VARIANTS[mode].joint),
         forms,
         tags,
         labels,
@@ -172,13 +182,8 @@ def parameter_count(
     swap: bool = False,
 ) -> int:
     """Parameter count of a would-be model, computed from shapes alone."""
-    variant = VARIANTS[mode]
-    system = TransitionSystem(swap=swap, joint=variant.joint)
-    n_actions = ActionSpace(labels, tags, system, labels.id_of("root")).size
-    groups, extra = parser_layout(variant, tagger_cfg, parser_cfg, tags, labels, forms)
-    tagger = block_shapes(tagger_groups(tvocabs, tagger_cfg), tagger_cfg.hidden, tags.n_classes)
-    parser = block_shapes(groups, parser_cfg.hidden, n_actions, extra)
-    return sum(math.prod(shape) for shape in [*tagger.values(), *parser.values()])
+    layouts = network_layouts(mode, swap, tagger_cfg, parser_cfg, forms, tags, labels, tvocabs)
+    return sum(math.prod(s) for lay in layouts.values() for s in block_shapes(*lay).values())
 
 
 def save(
@@ -207,6 +212,9 @@ def save(
 
 
 def load(src: Union[str, BinaryIO]) -> StackedModel:
+    """Read a model container. Each network must have the layout that
+    ``network_layouts`` derives from the header's vocabularies and configs;
+    a header that contradicts its networks is a ``ModelError``."""
     networks, meta = _load_container(src)
     try:
         mode = meta["mode"]
@@ -217,6 +225,18 @@ def load(src: Union[str, BinaryIO]) -> StackedModel:
         tags = Vocab(v["tags"])
         labels = Vocab(v["labels"])
         tvocabs = TaggerVocabs(forms, {name: Vocab(v[name]) for name in AFFIXES})
+        tagger_cfg = from_header(TaggerConfig, meta["tagger_cfg"])
+        parser_cfg = from_header(ParserNetworkConfig, meta["parser_cfg"])
+        layouts = network_layouts(
+            mode, meta["swap"], tagger_cfg, parser_cfg, forms, tags, labels, tvocabs
+        )
+        for name, layout in layouts.items():
+            net = networks[name]
+            shapes = {b: net.params[b].shape for b in net.block_names}
+            if net.groups != layout[0] or shapes != block_shapes(*layout):
+                raise ModelError(
+                    f"network {name!r} does not match the vocabularies and configs in the header"
+                )
         return StackedModel(
             mode,
             TransitionSystem(swap=meta["swap"], joint=VARIANTS[mode].joint),
@@ -224,8 +244,8 @@ def load(src: Union[str, BinaryIO]) -> StackedModel:
             tags,
             labels,
             tvocabs,
-            from_header(TaggerConfig, meta["tagger_cfg"]),
-            from_header(ParserNetworkConfig, meta["parser_cfg"]),
+            tagger_cfg,
+            parser_cfg,
             meta["root_label"],
             meta["root_exclusive"],
             networks["tagger"],
@@ -233,5 +253,5 @@ def load(src: Union[str, BinaryIO]) -> StackedModel:
         )
     except ModelError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError, StackpropError) as e:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, StackpropError) as e:
         raise ModelError(f"malformed model header: {e!r}") from None

@@ -311,8 +311,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
     enough; never along the reduction, so the result is bitwise ``a @ b``."""
     out_shape = (a.shape[0], b.shape[1])
     cuts = _cuts(out_shape[axis], a.shape[1] * out_shape[1 - axis], GEMM_FLOOR, equal=True)
-    if len(cuts) == 1:
-        return a @ b
     out = np.empty(out_shape, dtype=np.result_type(a, b))
     if axis == 0:
         pieces = [partial(np.matmul, a[s], b, out=out[s]) for s in cuts]
@@ -488,15 +486,11 @@ def asgd_step(
     for name in blocks:
         p, v, g = net.params[name], net.velocity[name], grads[name]
         acc = net._running_sum(name) if averaging else None
-        rows = p.shape[0] if p.ndim else 1
-        cuts = _cuts(rows, p.size // max(1, rows), ASGD_FLOOR, equal=False)
-        if len(cuts) == 1:
-            _asgd_rows(p, v, g, acc, lr, config.mu)
-        else:
-            _run([
-                partial(_asgd_rows, p[s], v[s], g[s], None if acc is None else acc[s], lr, config.mu)
-                for s in cuts
-            ])
+        cuts = _cuts(len(p), p.size // max(1, len(p)), ASGD_FLOOR, equal=False)
+        _run([
+            partial(_asgd_rows, p[s], v[s], g[s], None if acc is None else acc[s], lr, config.mu)
+            for s in cuts
+        ])
 
 
 def _asgd_rows(p, v, g, acc, lr: float, mu: float) -> None:

@@ -5,12 +5,13 @@ configuration; the selected tokens' tagger activations form the parser's
 dense input group (discrete label ids of already-built arcs form the other).
 Sentences are decoded in lockstep groups. Each group is tagged once
 (``tag_sentences``) and its per-token tables built once. A step at which
-some live configuration has a choice of action indexes those tables and
-scores every live configuration of the group with one parser forward. A
-step at which each has a single legal action applies them without one:
-outside the joint system, a SHIFT from ``[ROOT]``, or from ``[ROOT, x]``
-while the buffer is not empty; under a root-exclusive label, the last
-attachment to the root.
+some live configuration has a choice of action featurizes every live
+configuration of the group and scores them all with one parser forward,
+through the two calls a PARSER update makes: ``parser_input`` over those
+tables, then ``forward_batch``. A step at which each has a single legal
+action applies them without one: outside the joint system, a SHIFT from
+``[ROOT]``, or from ``[ROOT, x]`` while the buffer is not empty; under a
+root-exclusive label, the last attachment to the root.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from stackprop.errors import StackpropError
 from stackprop.model import StackedModel
 from stackprop.nnkernel import DTYPE, forward_batch
 from stackprop.tagger import TaggerActivations, tag_sentences
-from stackprop.transition import ParserConfiguration, apply, featurize, initial
+from stackprop.transition import apply, featurize, initial
 from stackprop.transition import feature_tokens, is_terminal, label_features  # noqa: F401
 
 # sentences decoded in lockstep: their configurations share each parser
@@ -70,20 +71,6 @@ def parser_input(
     return inputs
 
 
-def score_actions(
-    configs: list[ParserConfiguration],
-    bases: list[int],
-    model: StackedModel,
-    tables: dict[str, np.ndarray],
-    params: dict[str, np.ndarray],
-) -> np.ndarray:
-    """(B, n_actions) logits over the full action space (unmasked), one row
-    per configuration; ``configs[i]`` belongs to the sentence whose first
-    token is row ``bases[i]`` of the ``tables``. One parser forward for all B."""
-    rows, labels = featurize(configs, bases)
-    return forward_batch(model.parser, parser_input(tables, rows, labels), params).logits
-
-
 @dataclass
 class ParseStats:
     sentences: int = 0
@@ -100,6 +87,14 @@ class ParseStats:
         self.transitions += other.transitions
 
 
+def with_tags(sentence: Sentence, tags: list[str]) -> Sentence:
+    """``sentence`` as ``tag`` writes it: ``tags`` (one per token) as its
+    predicted UPOS, and its input heads and labels as the predicted ones."""
+    tokens = [replace(t, pred_upos=tags[t.index - 1], pred_head=t.gold_head,
+                      pred_deprel=t.gold_deprel) for t in sentence.tokens]
+    return Sentence(tokens, id=sentence.id)
+
+
 def _decode(
     sentences: list[Sentence],
     model: StackedModel,
@@ -112,17 +107,19 @@ def _decode(
     once terminal. One parser forward scores all of them, unless each has
     a single legal action, which it applies unscored. Returns the
     parsed sentences, each one's tagger hidden rows and the group's counts.
-    ``tag_only`` stops after tagging: each sentence gets the tagger's tags
-    and keeps its input heads and labels."""
+    ``tag_only`` stops after tagging and returns ``with_tags`` sentences."""
     if any(len(s) == 0 for s in sentences):
         raise StackpropError("cannot parse an empty sentence")
     pred_tags, acts = tag_sentences(sentences, model.tagger, model.tvocabs, model.tags)
     bounds = np.cumsum([0] + [len(s) for s in sentences]).tolist()
+    hidden = [acts.hidden[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    stats = ParseStats(sentences=len(sentences), tokens=bounds[-1])
+    if tag_only:
+        return list(map(with_tags, sentences, pred_tags)), hidden, stats
     params = model.parser.inference_params()
     tables = token_tables(model, params, acts)
     configs = [initial(s) for s in sentences]
-    live = [] if tag_only else list(range(len(sentences)))
-    stats = ParseStats(sentences=len(sentences), tokens=bounds[-1])
+    live = list(range(len(sentences)))
     actions = model.actions
     while live:
         mask = np.stack([actions.legal_mask(configs[i]) for i in live])
@@ -135,9 +132,9 @@ def _decode(
         else:
             # every live configuration is a row, forced ones too: fewer rows
             # would move the product to other BLAS kernels and change bits
-            logits = score_actions(
-                [configs[i] for i in live], [bounds[i] for i in live], model, tables, params
-            )
+            rows, labels = featurize([configs[i] for i in live], [bounds[i] for i in live])
+            inputs = parser_input(tables, rows, labels)
+            logits = forward_batch(model.parser, inputs, params).logits
             picks = np.where(mask, logits, -np.inf).argmax(1)
             stats.parser_evals += len(live)
             stats.parser_batches += 1
@@ -152,10 +149,6 @@ def _decode(
         tokens = []
         for t in sentence.tokens:
             pred_upos = t.pred_upos
-            if tag_only:
-                tokens.append(replace(t, pred_upos=tags[t.index - 1],
-                                      pred_head=t.gold_head, pred_deprel=t.gold_deprel))
-                continue
             if model.system.joint:
                 pred_upos = model.tags.string_of(c.tags[t.index])
             elif fill_tags:
@@ -163,7 +156,7 @@ def _decode(
             head, label = c.head[t.index], model.labels.string_of(c.label[t.index])
             tokens.append(replace(t, pred_head=head, pred_deprel=label, pred_upos=pred_upos))
         out.append(Sentence(tokens, id=sentence.id))
-    return out, [acts.hidden[lo:hi] for lo, hi in zip(bounds, bounds[1:])], stats
+    return out, hidden, stats
 
 
 def parse_sentence(

@@ -101,7 +101,7 @@ def _np(g: Grammar, rng, allow_pp: bool) -> tuple[list[tuple[str, str]], int, li
     for i in range(head):
         arcs.append((head, i, "det" if words[i][1] == "DET" else "amod"))
     if allow_pp and rng.random() < 0.15:
-        sub_words, sub_head, sub_arcs, p_pos = _pp(g, rng)
+        sub_words, sub_head, sub_arcs = _pp(g, rng)
         base = len(words)
         words += sub_words
         arcs += [(base + h, base + d, l) for h, d, l in sub_arcs]
@@ -109,14 +109,14 @@ def _np(g: Grammar, rng, allow_pp: bool) -> tuple[list[tuple[str, str]], int, li
     return words, head, arcs
 
 
-def _pp(g: Grammar, rng) -> tuple[list[tuple[str, str]], int, list[tuple[int, int, str]], int]:
+def _pp(g: Grammar, rng) -> tuple[list[tuple[str, str]], int, list[tuple[int, int, str]]]:
     words = [(ADPS[rng.integers(len(ADPS))], "ADP")]
     np_words, np_head, np_arcs = _np(g, rng, allow_pp=False)
     words += np_words
     arcs = [(1 + h, 1 + d, l) for h, d, l in np_arcs]
     head = 1 + np_head
     arcs.append((head, 0, "case"))
-    return words, head, arcs, 0
+    return words, head, arcs
 
 
 def generate_sentence(g: Grammar, rng: np.random.Generator, idx: int) -> Sentence:
@@ -140,7 +140,7 @@ def generate_sentence(g: Grammar, rng: np.random.Generator, idx: int) -> Sentenc
         arcs.append((verb, base + obj_head, "obj"))
 
     if rng.random() < 0.3:
-        pp_words, pp_head, pp_arcs, _ = _pp(g, rng)
+        pp_words, pp_head, pp_arcs = _pp(g, rng)
         base = len(words)
         words += pp_words
         arcs += [(base + h, base + d, l) for h, d, l in pp_arcs]

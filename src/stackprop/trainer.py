@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ from stackprop.nnkernel import (
     scatter_rows,
     softmax_xent_batch,
 )
-from stackprop.parser import parse_corpus, parser_input, token_tables
+from stackprop.parser import parse_corpus, parser_input, token_tables, with_tags
 from stackprop.tagger import (
     GROUP_ORDER,
     WORD_WINDOW,
@@ -454,12 +454,14 @@ def jackknife_tags(
     global_tags: Optional[Vocab] = None,
     vectors: Optional[PretrainedVectors] = None,
 ) -> tuple[list[Sentence], np.ndarray, list[StackedModel]]:
-    """Fill pred_upos on a corpus with k-fold jackknifed tags, k being
+    """Tag a corpus with k-fold jackknifed tags, k being
     ``settings.jackknife_folds``.
 
     Each contiguous fold is tagged by a tagger trained only on the other
     folds (its own vocabularies included) and starts from the pretrained
-    ``vectors``, read here when not given. Returns the annotated corpus, the
+    ``vectors``, read here when not given. Returns the corpus tagged as
+    ``tag`` writes it (``parser.with_tags``: each token's pred_upos from
+    its fold's tagger, its input head and label as the predicted ones), the
     per-token tag distributions mapped into ``global_tags`` class order, and
     the fold models.
     """
@@ -495,11 +497,7 @@ def jackknife_tags(
             held_out, fold_model.tagger, fold_model.tvocabs, fold_model.tags
         )
         dists[offsets[lo] : offsets[hi], class_map[known]] = acts.probs[:, known]
-        for j, sent, pred in zip(range(lo, hi), held_out, preds):
-            annotated[j] = Sentence(
-                [dc_replace(t, pred_upos=pred[t.index - 1]) for t in sent.tokens],
-                id=sent.id,
-            )
+        annotated[lo:hi] = map(with_tags, held_out, preds)
     return annotated, dists, fold_models
 
 

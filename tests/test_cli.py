@@ -28,6 +28,7 @@ from stackprop.model import load
 from stackprop.nnkernel import blas_build, kernel_workers
 from stackprop.parser import parse_corpus
 from stackprop.synthetic import generate_corpus
+from test_model import rechecksum, split_container
 
 TINY_FLAGS = [
     "--h-tagger", "16", "--h-parser", "24", "--d-implicit", "8", "--d-label", "4",
@@ -593,6 +594,21 @@ def test_exit_code_model_on_corrupt_model(workdir):
     rc = main(["parse", "--model", str(bogus), "--input", os.devnull,
                "--output", os.devnull])
     assert rc == 3
+
+
+def test_parse_with_a_header_contradicting_its_networks_exits_3(trained_model, workdir, capsys,
+                                                                caplog):
+    """A header with one label fewer than the parser scores is a model error
+    at load, not a broadcast error at the first scored step."""
+    header, blocks = split_container(trained_model.read_bytes())
+    del header["meta"]["vocabs"]["labels"][-1]
+    doctored = workdir / "label_dropped.model"
+    doctored.write_bytes(rechecksum(header, blocks))
+    rc = main(["parse", "--model", str(doctored), "--input", str(workdir / "dev.conllu"),
+               "--output", os.devnull])
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert "network 'parser' does not match" in caplog.text
 
 
 def test_exit_code_usage_on_unknown_flag():

@@ -137,13 +137,19 @@ def _edit(*path, value=DROP):
         _edit("meta", "parser_cfg", "hidden", value=0),
         _edit("meta", "vocabs", "prefix3"),
         _edit("meta", value=7),
+        _edit("meta", "vocabs", "labels", -1),
+        _edit("meta", "vocabs", "tags", -1),
+        _edit("meta", "vocabs", "forms", -1),
+        _edit("meta", "tagger_cfg", "hidden", value=TINY.tagger_cfg.hidden + 1),
+        _edit("meta", "root_label", value=999),
     ],
     ids=[
         "extra-group-key", "group-field-type", "bad-group-value", "group-vs-block-shape",
         "hidden-type", "shape-type", "missing-network", "network-not-object",
         "missing-step", "unknown-mode", "mode-type", "extra-config-key",
         "missing-config", "missing-config-field", "config-value-below-one", "missing-vocab",
-        "meta-not-object",
+        "meta-not-object", "label-dropped", "tag-dropped", "form-dropped",
+        "tagger-hidden-vs-networks", "root-label-out-of-range",
     ],
 )
 def test_malformed_header_raises_model_error(saved, edit):

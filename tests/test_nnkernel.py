@@ -362,12 +362,14 @@ def split_workers(request, monkeypatch):
 
 
 def count_splits(monkeypatch) -> list[int]:
-    """The piece count of every split run from now on."""
+    """The piece count of every split run from now on: each ``_run`` call
+    with two or more pieces (a whole product or update is one piece)."""
     counts = []
     run = nnkernel._run
 
     def counted(pieces):
-        counts.append(len(pieces))
+        if len(pieces) > 1:
+            counts.append(len(pieces))
         run(pieces)
 
     monkeypatch.setattr(nnkernel, "_run", counted)
@@ -377,13 +379,13 @@ def count_splits(monkeypatch) -> list[int]:
 SWEEP_ROWS = [*range(1, 65), 100, 250, 640]
 
 
-@pytest.mark.parametrize("split_workers", [2, 4], indirect=True)
+@pytest.mark.parametrize("split_workers", [1, 2, 4], indirect=True)
 @pytest.mark.parametrize("product", ["forward", "weight_grad", "input_grad"])
 def test_split_w1_products_equal_the_whole_products(product, split_workers, monkeypatch):
-    """Each W1 product, split over 2 or 4 workers, is bitwise the whole
-    product at the parser's default W1 shape (1664x1024), for every row
-    count from 1 up: the smallest counts are where a piece on OpenBLAS's
-    small-matrix path would round differently."""
+    """Each W1 product, run whole on 1 worker or split over 2 or 4, is
+    bitwise ``a @ b`` at the parser's default W1 shape (1664x1024), for
+    every row count from 1 up: the smallest counts are where a piece on
+    OpenBLAS's small-matrix path would round differently."""
     rng = np.random.default_rng(5)
     w1 = rng.uniform(-0.01, 0.01, size=(1664, 1024))
     splits = count_splits(monkeypatch)
@@ -400,6 +402,9 @@ def test_split_w1_products_equal_the_whole_products(product, split_workers, monk
         assert np.array_equal(nnkernel._matmul(a, b, axis), a @ b), rows
         if len(splits) > before:
             split_rows.append(rows)
+    if split_workers == 1:
+        assert split_rows == []
+        return
     # every row count from a handful up was split
     assert split_rows and split_rows[0] <= 5
     assert split_rows == [r for r in SWEEP_ROWS if r >= split_rows[0]]
@@ -695,7 +700,7 @@ from stackprop import corpus, model, nnkernel, parser, synthetic, trainer
 
 splits = []
 run = nnkernel._run
-nnkernel._run = lambda pieces: (splits.append(len(pieces)), run(pieces))
+nnkernel._run = lambda pieces: (len(pieces) > 1 and splits.append(len(pieces)), run(pieces))
 
 
 def digest(data):

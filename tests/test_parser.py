@@ -24,7 +24,6 @@ from stackprop.parser import (
     parse_corpus,
     parse_sentence,
     parser_input,
-    score_actions,
     token_tables,
 )
 from stackprop.synthetic import generate_corpus
@@ -215,7 +214,9 @@ def test_zero_weights_uniform_over_legal_actions():
     _, acts = tag_sentences([I_ATE_FISH], m.tagger, m.tvocabs, m.tags)
     c = initial(I_ATE_FISH)
     params = m.parser.inference_params()
-    (logits,) = score_actions([c], [0], m, token_tables(m, params, acts), params)
+    rows, labels = featurize([c], [0])
+    inputs = parser_input(token_tables(m, params, acts), rows, labels)
+    (logits,) = forward_batch(m.parser, inputs, params).logits
     assert np.allclose(logits, logits[0])
     mask = m.actions.legal_mask(c)
     masked = logits.copy()
@@ -230,7 +231,9 @@ def test_argmax_invariant_to_constant_shift():
     _, acts = tag_sentences([I_ATE_FISH], m.tagger, m.tvocabs, m.tags)
     c = initial(I_ATE_FISH)
     params = m.parser.inference_params()
-    (logits,) = score_actions([c], [0], m, token_tables(m, params, acts), params)
+    rows, labels = featurize([c], [0])
+    inputs = parser_input(token_tables(m, params, acts), rows, labels)
+    (logits,) = forward_batch(m.parser, inputs, params).logits
     mask = m.actions.legal_mask(c)
     a = logits.copy()
     a[~mask] = -np.inf
@@ -407,9 +410,8 @@ def reference_decode(sentences, m):
     live = list(range(len(sentences)))
     choice_steps = 0
     while live:
-        logits = score_actions(
-            [configs[i] for i in live], [bounds[i] for i in live], m, tables, params
-        )
+        rows, labels = featurize([configs[i] for i in live], [bounds[i] for i in live])
+        logits = forward_batch(m.parser, parser_input(tables, rows, labels), params).logits
         masks = [m.actions.legal_mask(configs[i]) for i in live]
         choice_steps += any(mask.sum() > 1 for mask in masks)
         for i, scores, mask in zip(live, logits, masks):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import stackprop.parser as parser_mod
 import stackprop.trainer as trainer_mod
 
 from stackprop.errors import StackpropError
@@ -19,8 +18,8 @@ from stackprop.model import (
     build_model,
     save,
 )
-from stackprop.nnkernel import OptimizerConfig
-from stackprop.parser import parse_corpus, parse_sentence, score_actions, token_tables
+from stackprop.nnkernel import OptimizerConfig, forward_batch
+from stackprop.parser import parse_corpus, parse_sentence, parser_input, token_tables
 from stackprop.synthetic import generate_corpus
 from stackprop.tagger import tag_sentences
 from stackprop.trainer import (
@@ -35,7 +34,7 @@ from stackprop.trainer import (
     tagger_batch_update,
     train_variant,
 )
-from stackprop.transition import apply, initial, unroll
+from stackprop.transition import apply, featurize, initial, unroll
 
 from conftest import make_sentence, random_tree, tiny_settings
 
@@ -190,16 +189,14 @@ def test_decode_input_matches_training_batch(sizes, seed, swap, mode):
     params = model.parser.inference_params()
 
     decoded, dists = [], []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parser_mod, "forward_batch", _recording(parser_mod, model.parser, decoded))
-        for sent in data.sentences:
-            _, acts = tag_sentences([sent], model.tagger, model.tvocabs, model.tags)
-            dists.append(acts.probs)
-            tables = token_tables(model, params, acts)
-            c = initial(sent)
-            for a in unroll(sent, model.system, model.labels, model.tags).actions():
-                score_actions([c], [0], model, tables, params)
-                apply(c, a, model.system)
+    for sent in data.sentences:
+        _, acts = tag_sentences([sent], model.tagger, model.tvocabs, model.tags)
+        dists.append(acts.probs)
+        tables = token_tables(model, params, acts)
+        c = initial(sent)
+        for a in unroll(sent, model.system, model.labels, model.tags).actions():
+            decoded.append(parser_input(tables, *featurize([c], [0])))
+            apply(c, a, model.system)
     assert len(decoded) == data.n_parse_examples
 
     n = data.n_parse_examples
@@ -267,6 +264,11 @@ def test_jackknife_bookkeeping():
     annotated, dists, folds = jackknife_tags(sents, settings, seed=1)
     assert len(folds) == 5
     assert all(t.pred_upos is not None for s in annotated for t in s.tokens)
+    # tagged as ``tag`` writes it: the input heads and labels are the predictions
+    assert all(
+        (t.pred_head, t.pred_deprel) == (t.gold_head, t.gold_deprel)
+        for s in annotated for t in s.tokens
+    )
     n_tokens = sum(len(s) for s in sents)
     assert dists.shape[0] == n_tokens
     assert np.allclose(dists.sum(axis=1), 1.0, atol=1e-9)
@@ -372,7 +374,9 @@ def test_pipeline_decodes_with_its_own_tagger_not_jackknife():
     def first_logits():
         _, acts = tag_sentences([dev], model.tagger, model.tvocabs, model.tags)
         params = model.parser.inference_params()
-        return score_actions([initial(dev)], [0], model, token_tables(model, params, acts), params)[0]
+        rows, labels = featurize([initial(dev)], [0])
+        inputs = parser_input(token_tables(model, params, acts), rows, labels)
+        return forward_batch(model.parser, inputs, params).logits[0]
 
     before = first_logits()
     # the decode-time distributions come from the model's tagger, not from any
