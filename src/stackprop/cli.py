@@ -296,30 +296,13 @@ def _dump_activations(out: TextIO, sentence: Sentence, hidden: np.ndarray) -> No
         out.write(f"{sentence.id}\t{t.index}\t{t.form}\t{vec}\n")
 
 
-def _as_predicted(system: list[Sentence]) -> list[Sentence]:
-    """Re-read a system output file: its gold columns are the predictions."""
-    out = []
-    for s in system:
-        out.append(
-            Sentence(
-                [
-                    replace(
-                        t,
-                        pred_head=t.gold_head,
-                        pred_deprel=t.gold_deprel,
-                        pred_upos=None if t.gold_upos == "_" else t.gold_upos,
-                    )
-                    for t in s.tokens
-                ],
-                id=s.id,
-            )
-        )
-    return out
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     gold = load_corpus(args.gold)
-    system = _as_predicted(load_corpus(args.system))
+    # a system file's gold columns are its predictions
+    system = [
+        parser_mod.with_tags(s, [None if t.gold_upos == "_" else t.gold_upos for t in s.tokens])
+        for s in load_corpus(args.system)
+    ]
     report = evaluator.attachment_scores(
         gold, system, include_punct=not args.exclude_punct
     )

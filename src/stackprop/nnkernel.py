@@ -157,7 +157,9 @@ def block_shapes(
 ) -> dict[str, tuple[int, ...]]:
     """Every parameter block of a network, in block order: one embedding
     matrix per embedded group (``E_<group>``), hidden ``W1``/``b1``, softmax
-    ``W2``/``b2``, then the extra blocks."""
+    ``W2``/``b2``, then the extra blocks, each of at least one dimension."""
+    if any(not shape for shape in (extra or {}).values()):
+        raise StackpropError(f"extra blocks need at least one dimension: {extra}")
     shapes = {f"E_{g.name}": (g.vocab_size, g.embed_dim) for g in groups if g.embedded}
     shapes["W1"] = (sum(g.width for g in groups), n_hidden)
     shapes["b1"] = (n_hidden,)
@@ -381,16 +383,16 @@ def softmax_xent_batch(
 def backward_batch(
     net: Network, cache: ForwardCache, dlogits: np.ndarray
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Gradients for all blocks plus gradients w.r.t. dense group inputs.
+    """Gradients for all blocks plus gradients w.r.t. dense group inputs:
+    the softmax layer's, then ``backward_from_hidden``'s.
 
     ``dlogits`` carries whatever scaling the caller wants (e.g. 1/B for a
     batch mean); everything downstream inherits it.
     """
-    grads: dict[str, np.ndarray] = {}
+    grads, dense_grads = backward_from_hidden(net, cache, dlogits @ net.params["W2"].T)
     grads["W2"] = cache.h1.T @ dlogits
     grads["b2"] = dlogits.sum(axis=0)
-    dh1 = dlogits @ net.params["W2"].T
-    return _backward_hidden(net, cache, dh1, grads)
+    return grads, dense_grads
 
 
 def backward_from_hidden(
@@ -398,18 +400,8 @@ def backward_from_hidden(
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Backward pass entered at the hidden activations, skipping the softmax
     layer entirely (its blocks do not appear in the result)."""
-    return _backward_hidden(net, cache, dh1, {})
-
-
-def _backward_hidden(
-    net: Network,
-    cache: ForwardCache,
-    dh1: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     dz1 = dh1 * (cache.z1 > 0)
-    grads["W1"] = _matmul(cache.h0.T, dz1, axis=0)
-    grads["b1"] = dz1.sum(axis=0)
+    grads = {"W1": _matmul(cache.h0.T, dz1, axis=0), "b1": dz1.sum(axis=0)}
     dh0 = _matmul(dz1, net.params["W1"].T, axis=1)
     dense_grads: dict[str, np.ndarray] = {}
     offset = 0
@@ -625,12 +617,14 @@ def _read_network(spec: dict, payload: memoryview, pos: int) -> tuple[Network, i
     expected = block_shapes(groups, net.n_hidden, net.n_out)
     if len(shapes) != len(net.block_names) or any(shapes.get(k) != v for k, v in expected.items()):
         raise ModelError(f"blocks of network {spec['name']!r} do not match its groups")
+    if not all(shapes.values()):
+        raise ModelError(f"a block of network {spec['name']!r} has no dimension")
     net.avg_count = {b["name"]: b["avg_count"] for b in spec["blocks"]}
     net.params, averages, net.velocity = {}, {}, {}
     for store in (net.params, averages, net.velocity):
         for name in net.block_names:
             shape = shapes[name]
-            count = int(np.prod(shape)) if shape else 1
+            count = int(np.prod(shape))
             if pos + count * 8 > len(payload):
                 raise ModelError("model file truncated inside parameter blocks")
             block = np.frombuffer(payload, dtype="<f8", count=count, offset=pos)

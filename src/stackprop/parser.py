@@ -87,9 +87,9 @@ class ParseStats:
         self.transitions += other.transitions
 
 
-def with_tags(sentence: Sentence, tags: list[str]) -> Sentence:
-    """``sentence`` as ``tag`` writes it: ``tags`` (one per token) as its
-    predicted UPOS, and its input heads and labels as the predicted ones."""
+def with_tags(sentence: Sentence, tags: list[Optional[str]]) -> Sentence:
+    """``sentence`` as ``tag`` writes it: ``tags`` (one per token, None for
+    none) as its predicted UPOS, its input heads and labels as predicted."""
     tokens = [replace(t, pred_upos=tags[t.index - 1], pred_head=t.gold_head,
                       pred_deprel=t.gold_deprel) for t in sentence.tokens]
     return Sentence(tokens, id=sentence.id)

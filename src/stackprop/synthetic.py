@@ -18,6 +18,10 @@ PRONS = ["i", "you", "he", "she", "they", "we"]
 ADPS = ["in", "on", "at", "with", "under", "near", "of"]
 PUNCTS = [".", "!", "?"]
 
+Words = list[tuple[str, str]]  # (form, UPOS)
+Arcs = list[tuple[int, int, str]]  # (head offset, dependent offset, label)
+Phrase = tuple[Words, int, Arcs]  # words, head offset, arcs
+
 _SYLLABLES = [
     "ba", "do", "ki", "lu", "mer", "pon", "sa", "ti", "vor", "zen",
     "gra", "fel", "nim", "rus", "tol", "wid", "hov", "pel", "dar", "mok",
@@ -83,10 +87,10 @@ class Grammar:
         return stem
 
 
-def _np(g: Grammar, rng, allow_pp: bool) -> tuple[list[tuple[str, str]], int, list[tuple[int, int, str]]]:
+def _np(g: Grammar, rng, allow_pp: bool) -> Phrase:
     """Noun phrase as (words, head offset, arcs); arcs are offset-relative."""
-    words: list[tuple[str, str]] = []
-    arcs: list[tuple[int, int, str]] = []
+    words: Words = []
+    arcs: Arcs = []
     if rng.random() < 0.25:
         words.append((PRONS[rng.integers(len(PRONS))], "PRON"))
         return words, 0, arcs
@@ -101,54 +105,45 @@ def _np(g: Grammar, rng, allow_pp: bool) -> tuple[list[tuple[str, str]], int, li
     for i in range(head):
         arcs.append((head, i, "det" if words[i][1] == "DET" else "amod"))
     if allow_pp and rng.random() < 0.15:
-        sub_words, sub_head, sub_arcs = _pp(g, rng)
-        base = len(words)
-        words += sub_words
-        arcs += [(base + h, base + d, l) for h, d, l in sub_arcs]
-        arcs.append((head, base + sub_head, "nmod"))
+        arcs.append((head, _splice(words, arcs, _pp(g, rng)), "nmod"))
     return words, head, arcs
 
 
-def _pp(g: Grammar, rng) -> tuple[list[tuple[str, str]], int, list[tuple[int, int, str]]]:
+def _pp(g: Grammar, rng) -> Phrase:
     words = [(ADPS[rng.integers(len(ADPS))], "ADP")]
-    np_words, np_head, np_arcs = _np(g, rng, allow_pp=False)
-    words += np_words
-    arcs = [(1 + h, 1 + d, l) for h, d, l in np_arcs]
-    head = 1 + np_head
+    arcs: Arcs = []
+    head = _splice(words, arcs, _np(g, rng, allow_pp=False))
     arcs.append((head, 0, "case"))
     return words, head, arcs
 
 
-def generate_sentence(g: Grammar, rng: np.random.Generator, idx: int) -> Sentence:
-    words: list[tuple[str, str]] = []
-    arcs: list[tuple[int, int, str]] = []  # (head offset, dep offset, label)
+def _splice(words: Words, arcs: Arcs, phrase: Phrase) -> int:
+    """Append a (words, head offset, arcs) phrase to ``words`` and ``arcs``,
+    shifting its offsets by the words already there; returns its head's offset."""
+    sub_words, sub_head, sub_arcs = phrase
+    base = len(words)
+    words += sub_words
+    arcs += [(base + h, base + d, l) for h, d, l in sub_arcs]
+    return base + sub_head
 
-    subj_words, subj_head, subj_arcs = _np(g, rng, allow_pp=True)
-    words += subj_words
-    arcs += subj_arcs
-    subj = subj_head
+
+def generate_sentence(g: Grammar, rng: np.random.Generator, idx: int) -> Sentence:
+    words: Words = []
+    arcs: Arcs = []
+
+    subj = _splice(words, arcs, _np(g, rng, allow_pp=True))
 
     verb = len(words)
     words.append((g.verb(rng), "VERB"))
     arcs.append((verb, subj, "nsubj"))
 
     if rng.random() < 0.7:
-        obj_words, obj_head, obj_arcs = _np(g, rng, allow_pp=False)
-        base = len(words)
-        words += obj_words
-        arcs += [(base + h, base + d, l) for h, d, l in obj_arcs]
-        arcs.append((verb, base + obj_head, "obj"))
+        arcs.append((verb, _splice(words, arcs, _np(g, rng, allow_pp=False)), "obj"))
 
     if rng.random() < 0.3:
-        pp_words, pp_head, pp_arcs = _pp(g, rng)
-        base = len(words)
-        words += pp_words
-        arcs += [(base + h, base + d, l) for h, d, l in pp_arcs]
+        pp = _splice(words, arcs, _pp(g, rng))
         # extraposed PP attaches to the subject noun across the verb
-        if rng.random() < g.p_nonproj:
-            arcs.append((subj, base + pp_head, "nmod"))
-        else:
-            arcs.append((verb, base + pp_head, "nmod"))
+        arcs.append((subj if rng.random() < g.p_nonproj else verb, pp, "nmod"))
 
     if rng.random() < 0.3:
         adv = len(words)

@@ -116,22 +116,17 @@ class EncodedCorpus:
 def encode_training_data(sentences: list[Sentence], model: StackedModel) -> EncodedCorpus:
     """Projectivize (unless SWAP handles non-projectivity), unroll every
     sentence once, and stack all features into flat arrays."""
-    prepared = []
-    projectivized = 0
-    for s in sentences:
-        if not model.system.swap and not is_projective(s):
-            s = projectivize(s)
-            projectivized += 1
-        prepared.append(s)
-
-    base = skipped = 0
+    base = skipped = projectivized = 0
     tokens: list[int] = []  # N_TOKEN_TEMPLATES per step
     labels: list[int] = []  # N_LABEL_TEMPLATES per step
     gold: list[int] = []
     step_bases: list[int] = []
     kept: list[Sentence] = []
     encode = model.actions.encode
-    for s in prepared:
+    for s in sentences:
+        if not model.system.swap and not is_projective(s):
+            s = projectivize(s)
+            projectivized += 1
         try:
             deriv = unroll(s, model.system, model.labels, model.tags, model.actions)
         except UnrollError as e:
@@ -309,12 +304,8 @@ def run_interleaved(
 
     updates = 0
     if tag_supervision:
-        for _ in range(schedule.tagger_pretrain_epochs):
-            for start in range(0, data.n_tag_examples, opt.batch_size):
-                idx = tag_stream.take(min(opt.batch_size, data.n_tag_examples - start))
-                updates += 1
-                loss = tagger_batch_update(model, data, idx, opt, schedule.lambda_weight)
-                _finite(loss, "TAGGER", updates)
+        for _ in range(schedule.tagger_pretrain_epochs):  # a batch never spans two passes
+            updates += train_tagger_only(model, data, 1, opt, rng, schedule.lambda_weight)
 
     remaining_t = schedule.tagger_epochs * n_tag
     remaining_p = schedule.parser_epochs * n_par
@@ -377,16 +368,19 @@ def train_tagger_only(
     epochs: int,
     opt: OptimizerConfig,
     rng: np.random.Generator,
-) -> None:
+    lam: float = 1.0,
+) -> int:
+    """``epochs`` passes of TAGGER updates, whose batches run on across
+    passes; returns the update count. The averages are left unsettled."""
     stream = _Stream(data.n_tag_examples, rng)
     budget = epochs * data.n_tag_examples
     updates = 0
     while budget > 0:
         b = min(opt.batch_size, budget)
         updates += 1
-        _finite(tagger_batch_update(model, data, stream.take(b), opt), "TAGGER", updates)
+        _finite(tagger_batch_update(model, data, stream.take(b), opt, lam), "TAGGER", updates)
         budget -= b
-    model.tagger.settle_averages()
+    return updates
 
 
 def stackprop_train(
@@ -484,6 +478,7 @@ def jackknife_tags(
         rest = sentences[:lo] + sentences[hi:]
         fold_model, data = _fresh_model(STACKPROP, rest, settings, rng, vectors)
         train_tagger_only(fold_model, data, epochs, settings.optimizer, rng)
+        fold_model.tagger.settle_averages()
         fold_models.append(fold_model)
         class_map = np.array(
             [

@@ -385,6 +385,41 @@ def test_eval_identical_files(workdir, capsys):
     assert "uas=1.0000" in out and "las=1.0000" in out
 
 
+def test_eval_reads_a_system_files_upos_as_its_predicted_tags(workdir, capsys):
+    """With k of n UPOS changed, pos_acc is 1 - k/n; with every UPOS ``_``
+    there are no predicted tags and no pos_acc line."""
+    gold = parse_conllu((workdir / "dev.conllu").read_text(encoding="utf-8"))
+    n = sum(len(s) for s in gold)
+
+    def retag(upos, which):
+        return [
+            dataclasses.replace(s, tokens=[
+                dataclasses.replace(t, gold_upos=upos) if which(t) else t for t in s.tokens
+            ])
+            for s in gold
+        ]
+
+    k = sum(t.gold_upos != "X" for s in gold for t in s.tokens if t.index <= 2)
+    assert 0 < k < n
+    retagged = retag("X", lambda t: t.index <= 2)
+    untagged = retag("_", lambda t: True)
+    for name, sentences, pos_line in (
+        ("retagged", retagged, f"pos_acc={1 - k / n:.4f}"),
+        ("untagged", untagged, None),
+    ):
+        system = workdir / f"{name}.conllu"
+        system.write_text(emit_conllu(sentences), encoding="utf-8")
+        rc = main(["eval", "--gold", str(workdir / "dev.conllu"), "--system", str(system),
+                   "--machine"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "uas=1.0000" in out and "las=1.0000" in out
+        if pos_line:
+            assert pos_line in out.splitlines()
+        else:
+            assert "pos_acc" not in out
+
+
 def test_eval_parsed_output(trained_model, workdir, capsys):
     out = workdir / "out1.conllu"
     rc = main(["eval", "--gold", str(workdir / "dev.conllu"), "--system", str(out)])

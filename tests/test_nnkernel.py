@@ -690,6 +690,25 @@ def test_load_rejects_corruption():
         load_model(io.BytesIO(raw[:10]))
 
 
+def test_a_block_with_no_dimension_is_rejected():
+    with pytest.raises(StackpropError, match="dimension"):
+        small_net(extra_blocks={"s": ()})
+
+
+def test_load_rejects_a_block_with_no_dimension():
+    """A header shape [] in place of [1] keeps the block's byte count, so
+    only the shape check stands between it and a 0-d block."""
+    from test_model import rechecksum, split_container
+
+    buf = io.BytesIO()
+    save_model(buf, {"net": small_net(seed=17, extra_blocks={"s": (1,)})}, {})
+    header, blocks = split_container(buf.getvalue())
+    (entry,) = [b for b in header["networks"][0]["blocks"] if b["name"] == "s"]
+    entry["shape"] = []
+    with pytest.raises(ModelError, match="dimension"):
+        load_model(io.BytesIO(rechecksum(header, blocks)))
+
+
 CORE_COUNT_RUN = r"""
 import hashlib, io, json, os, sys
 

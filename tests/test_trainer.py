@@ -245,6 +245,55 @@ def test_tagger_epochs_zero_equals_window_training():
         assert np.array_equal(m_sp.tagger.params[k], m_w.tagger.params[k])
 
 
+def record_tagger_batches(monkeypatch) -> list[np.ndarray]:
+    """The example indices of every TAGGER update from now on, in order."""
+    batches = []
+    real = trainer_mod.tagger_batch_update
+
+    def recording(model, data, idx, *args, **kwargs):
+        batches.append(idx.copy())
+        return real(model, data, idx, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "tagger_batch_update", recording)
+    return batches
+
+
+def is_permutation(idx: np.ndarray, n: int) -> bool:
+    return sorted(idx.tolist()) == list(range(n))
+
+
+def test_pretraining_passes_never_share_a_batch(monkeypatch):
+    """Each pretraining pass is a permutation of every tag example and ends
+    in its own short batch."""
+    model, data, s = fresh()
+    b, n = s.optimizer.batch_size, data.n_tag_examples
+    assert n % b  # each pass ends in a short batch
+    batches = record_tagger_batches(monkeypatch)
+    schedule = trainer_mod.TrainingSchedule(
+        parser_epochs=0, tagger_epochs=0, tagger_pretrain_epochs=2
+    )
+    run_interleaved(model, data, None, schedule, s.optimizer, np.random.default_rng(0), True)
+    per_pass = -(-n // b)
+    assert [len(idx) for idx in batches] == 2 * ([b] * (per_pass - 1) + [n % b])
+    assert is_permutation(np.concatenate(batches[:per_pass]), n)
+    assert is_permutation(np.concatenate(batches[per_pass:]), n)
+
+
+def test_tagger_only_batches_run_on_across_passes(monkeypatch):
+    """Tagger-only training fills every batch but the last, so one batch
+    spans the boundary between two passes."""
+    model, data, s = fresh()
+    b, n = s.optimizer.batch_size, data.n_tag_examples
+    batches = record_tagger_batches(monkeypatch)
+    updates = trainer_mod.train_tagger_only(model, data, 2, s.optimizer, np.random.default_rng(0))
+    assert [len(idx) for idx in batches] == [b] * (2 * n // b) + [2 * n % b]
+    ends = np.cumsum([len(idx) for idx in batches])
+    assert n not in ends
+    flat = np.concatenate(batches)
+    assert is_permutation(flat[:n], n) and is_permutation(flat[n:], n)
+    assert updates == len(batches)
+
+
 def test_training_determinism_bitwise():
     a = stackprop_train(CORPUS, None, tiny_settings(seed=5))
     b = stackprop_train(CORPUS, None, tiny_settings(seed=5))
