@@ -227,6 +227,8 @@ def load(src: Union[str, BinaryIO]) -> StackedModel:
         tvocabs = TaggerVocabs(forms, {name: Vocab(v[name]) for name in AFFIXES})
         tagger_cfg = from_header(TaggerConfig, meta["tagger_cfg"])
         parser_cfg = from_header(ParserNetworkConfig, meta["parser_cfg"])
+        if not all(isinstance(meta[k], bool) for k in ("swap", "root_exclusive")):
+            raise ModelError("swap and root_exclusive must be true or false in the model header")
         layouts = network_layouts(
             mode, meta["swap"], tagger_cfg, parser_cfg, forms, tags, labels, tvocabs
         )

@@ -7,12 +7,13 @@ embedding matrix, or passed through unembedded). Dense groups also expose
 gradients with respect to their input rows so a loss can be backpropagated
 into whatever produced them.
 
-Training is mini-batched averaged SGD with momentum; every parameter block
-carries its own velocity, running average, and average count so that updates
-restricted to a subset of blocks leave the rest bit-identical. While a block
-trains, its average is kept as the running sum of its iterates (Polyak &
-Juditsky 1992; Bottou 2012), so a step adds the new parameters once instead
-of rewriting a mean; the mean is divided out when something reads it.
+Training is mini-batched averaged SGD with momentum. A network keeps its
+parameters, velocities and running averages in one state array, with a view
+and an average count per block, so that updates restricted to a subset of
+blocks leave the rest bit-identical. While a block trains, its average is
+kept as the running sum of its iterates (Polyak & Juditsky 1992; Bottou
+2012), so a step adds the new parameters once instead of rewriting a mean;
+the mean is divided out when something reads it.
 
 The ``W1`` products and the updates of large blocks are split over the
 usable cores (``_cuts``, ``_run``). A product is cut only along an output
@@ -172,9 +173,12 @@ def block_shapes(
 class Network:
     """Parameters and optimizer shadow state for one feed-forward unit.
 
-    Blocks are laid out by ``block_shapes``. Extra blocks are caller-managed:
-    updated by the optimizer and serialized, but not used by the forward pass
-    here.
+    The (3, n) ``state`` rows hold the parameters, averages and velocities,
+    each with the ``block_shapes`` blocks in order, and ``params``, ``_avg``
+    and ``velocity`` view them block by block; built without a ``state``, a
+    network draws its parameters from ``rng``. Extra blocks are
+    caller-managed: updated by the optimizer and serialized, but not used by
+    the forward pass here.
 
     ``average`` maps each block to its current average, read-only; a block
     whose ``avg_count`` is 0 holds its initial parameters there. Arrays read
@@ -188,31 +192,34 @@ class Network:
         groups: Sequence[FeatureGroupSpec],
         n_hidden: int,
         n_out: int,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator] = None,
         extra_blocks: Optional[dict[str, tuple[int, ...]]] = None,
+        state: Optional[np.ndarray] = None,
     ):
         self.groups = list(groups)
         self.n_hidden = n_hidden
         self.n_out = n_out
-        self.params: dict[str, np.ndarray] = {}
-        for name, shape in block_shapes(self.groups, n_hidden, n_out, extra_blocks).items():
-            if name == "b1":
-                self.params[name] = np.full(shape, HIDDEN_BIAS, dtype=DTYPE)
-            elif name == "b2":
-                self.params[name] = np.zeros(shape, dtype=DTYPE)
-            else:
-                self.params[name] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(DTYPE)
-        self.block_names = list(self.params)
-        self.velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.avg_count = {k: 0 for k in self.params}
-        self.step = 0
-        self._init_averages({k: v.copy() for k, v in self.params.items()})
-
-    def _init_averages(self, averages: dict[str, np.ndarray]) -> None:
+        shapes = block_shapes(self.groups, n_hidden, n_out, extra_blocks)
+        self.block_names = list(shapes)
+        ends = list(itertools.accumulate(math.prod(s) for s in shapes.values()))
+        ranges = dict(zip(shapes, zip([0] + ends, ends)))
+        self.state = np.zeros((3, ends[-1]), dtype=DTYPE) if state is None else state
         # _avg holds the running sum of the last avg_count iterates for the
         # blocks in _summed, and the average itself for the others
-        self._avg = averages
+        self.params, self._avg, self.velocity = (
+            {b: row[i:j].reshape(shapes[b]) for b, (i, j) in ranges.items()}
+            for row in self.state
+        )
+        self.avg_count = dict.fromkeys(self.block_names, 0)
+        self.step = 0
         self._summed: set[str] = set()
+        if state is None:
+            for name, p in self.params.items():
+                if name == "b1":
+                    p[...] = HIDDEN_BIAS
+                elif name != "b2":
+                    p[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=p.shape)
+            self.state[1] = self.state[0]
 
     @property
     def average(self) -> Mapping[str, np.ndarray]:
@@ -262,7 +269,7 @@ class Network:
         }
 
     def count_parameters(self) -> int:
-        return sum(v.size for v in self.params.values())
+        return self.state.shape[1]
 
 
 @dataclass
@@ -544,18 +551,17 @@ def save_model(
 
 
 def _container_blocks(net: Network):
-    """The bytes of a network's parameters, averages and velocities in
-    container order, a few rows at a time and with no block-sized copy: an
-    average still held as a running sum is divided into its mean per slice."""
-    for store in (net.params, net._avg, net.velocity):
-        for b in net.block_names:
-            rows = np.atleast_2d(store[b])
-            step = max(1, SAVE_CHUNK_BYTES // max(1, rows[:1].nbytes))
-            for i in range(0, len(rows), step):
-                part = rows[i : i + step]
-                if store is net._avg and b in net._summed:
-                    part = part / net.avg_count[b]
-                yield memoryview(np.ascontiguousarray(part, dtype="<f8")).cast("B")
+    """The bytes of a network's state in container order, a few rows at a
+    time and with no row-sized copy: the parameter row, each block's average
+    (a running sum is divided into its mean per slice), the velocity row."""
+    averages = [(b, np.atleast_2d(net._avg[b])) for b in net.block_names]
+    for b, rows in [(None, net.state[:1]), *averages, (None, net.state[2:])]:
+        step = max(1, SAVE_CHUNK_BYTES // max(1, rows[:1].nbytes))
+        for i in range(0, len(rows), step):
+            part = rows[i : i + step]
+            if b in net._summed:
+                part = part / net.avg_count[b]
+            yield memoryview(np.ascontiguousarray(part, dtype="<f8")).cast("B")
 
 
 def load_model(src: Union[str, BinaryIO]) -> tuple[dict[str, Network], dict]:
@@ -603,32 +609,27 @@ def from_header(cls, entry: dict):
 
 
 def _read_network(spec: dict, payload: memoryview, pos: int) -> tuple[Network, int]:
-    """One network from its header entry and its blocks' bytes, which start
-    at ``payload[pos]``; also returns the position after them. Each block is
-    copied once, straight out of the payload."""
+    """One network from its header entry and its state's bytes, which start
+    at ``payload[pos]``; also returns the position after them. The state is
+    copied once, straight out of the payload. The header must list
+    ``block_shapes``' blocks in order, with whole-number counts and sizes."""
     groups = [from_header(FeatureGroupSpec, d) for d in spec["groups"]]
-    net = Network.__new__(Network)
-    net.groups = groups
-    net.n_hidden = spec["n_hidden"]
-    net.n_out = spec["n_out"]
-    net.step = spec["step"]
-    net.block_names = [b["name"] for b in spec["blocks"]]
-    shapes = {b["name"]: tuple(b["shape"]) for b in spec["blocks"]}
-    expected = block_shapes(groups, net.n_hidden, net.n_out)
-    if len(shapes) != len(net.block_names) or any(shapes.get(k) != v for k, v in expected.items()):
+    n_hidden, n_out = spec["n_hidden"], spec["n_out"]
+    blocks = [(b["name"], tuple(b["shape"])) for b in spec["blocks"]]
+    own = block_shapes(groups, n_hidden, n_out)
+    extra = {name: shape for name, shape in blocks if name not in own}
+    if blocks != list(block_shapes(groups, n_hidden, n_out, extra).items()):
         raise ModelError(f"blocks of network {spec['name']!r} do not match its groups")
-    if not all(shapes.values()):
-        raise ModelError(f"a block of network {spec['name']!r} has no dimension")
-    net.avg_count = {b["name"]: b["avg_count"] for b in spec["blocks"]}
-    net.params, averages, net.velocity = {}, {}, {}
-    for store in (net.params, averages, net.velocity):
-        for name in net.block_names:
-            shape = shapes[name]
-            count = int(np.prod(shape))
-            if pos + count * 8 > len(payload):
-                raise ModelError("model file truncated inside parameter blocks")
-            block = np.frombuffer(payload, dtype="<f8", count=count, offset=pos)
-            store[name] = block.reshape(shape).copy()
-            pos += count * 8
-    net._init_averages(averages)
-    return net, pos
+    avg_count = {b["name"]: b["avg_count"] for b in spec["blocks"]}
+    dims = [n_hidden, n_out, *itertools.chain(*(shape for _, shape in blocks))]
+    if not all(type(c) is int and c >= 0 for c in [spec["step"], *avg_count.values(), *dims]):
+        raise ModelError(
+            f"network {spec['name']!r} has a step, count or dimension that is not a whole number"
+        )
+    n = sum(math.prod(shape) for _, shape in blocks)
+    if pos + 3 * n * 8 > len(payload):
+        raise ModelError("model file truncated inside parameter blocks")
+    state = np.frombuffer(payload, "<f8", count=3 * n, offset=pos).astype(DTYPE).reshape(3, n)
+    net = Network(groups, n_hidden, n_out, extra_blocks=extra, state=state)
+    net.avg_count, net.step = avg_count, spec["step"]
+    return net, pos + 3 * n * 8

@@ -646,6 +646,22 @@ def test_parse_with_a_header_contradicting_its_networks_exits_3(trained_model, w
     assert "network 'parser' does not match" in caplog.text
 
 
+def test_parse_with_a_count_that_is_not_a_number_exits_3(trained_model, workdir, capsys,
+                                                          caplog):
+    """A parser block's average count of "x" is refused at load with one
+    error line, not a TypeError traceback at the first decode."""
+    header, blocks = split_container(trained_model.read_bytes())
+    header["networks"][1]["blocks"][0]["avg_count"] = "x"
+    doctored = workdir / "count_not_a_number.model"
+    doctored.write_bytes(rechecksum(header, blocks))
+    rc = main(["parse", "--model", str(doctored), "--input", str(workdir / "dev.conllu"),
+               "--output", os.devnull])
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "not a whole number" in errors[0], errors
+
+
 def test_exit_code_usage_on_unknown_flag():
     with pytest.raises(SystemExit) as e:
         main(["train", "--frobnicate"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -23,7 +24,7 @@ from stackprop.model import (
 from stackprop.nnkernel import MAGIC, OptimizerConfig, block_shapes
 from stackprop.synthetic import generate_corpus
 from stackprop.tagger import TaggerConfig, build_tagger_vocabs
-from stackprop.trainer import encode_training_data, parser_batch_update
+from stackprop.trainer import encode_training_data, parser_batch_update, train_variant
 
 from conftest import tiny_settings
 
@@ -142,6 +143,7 @@ def _edit(*path, value=DROP):
         _edit("meta", "vocabs", "forms", -1),
         _edit("meta", "tagger_cfg", "hidden", value=TINY.tagger_cfg.hidden + 1),
         _edit("meta", "root_label", value=999),
+        lambda header: header["networks"][1]["blocks"].reverse(),
     ],
     ids=[
         "extra-group-key", "group-field-type", "bad-group-value", "group-vs-block-shape",
@@ -149,12 +151,54 @@ def _edit(*path, value=DROP):
         "missing-step", "unknown-mode", "mode-type", "extra-config-key",
         "missing-config", "missing-config-field", "config-value-below-one", "missing-vocab",
         "meta-not-object", "label-dropped", "tag-dropped", "form-dropped",
-        "tagger-hidden-vs-networks", "root-label-out-of-range",
+        "tagger-hidden-vs-networks", "root-label-out-of-range", "blocks-out-of-order",
     ],
 )
 def test_malformed_header_raises_model_error(saved, edit):
     header, blocks = split_container(saved)
     edit(header)
+    with pytest.raises(ModelError):
+        load(io.BytesIO(rechecksum(header, blocks)))
+
+
+@pytest.fixture(scope="module")
+def saved_swap():
+    """A model trained with SWAP: a truthy ``swap`` that is not a boolean
+    keeps its layout, so only the flag's type can refuse it."""
+    settings = dataclasses.replace(tiny_settings(parser_epochs=1, tagger_epochs=1), swap=True)
+    buf = io.BytesIO()
+    save(train_variant("stackprop", CORPUS, None, settings), buf)
+    assert load(io.BytesIO(buf.getvalue())).system.swap
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("networks", 1, "blocks", 0, "avg_count"), "x"),
+        (("networks", 1, "blocks", 0, "avg_count"), None),
+        (("networks", 1, "blocks", 0, "avg_count"), -3),
+        (("networks", 1, "blocks", 0, "avg_count"), True),
+        (("networks", 1, "step"), "x"),
+        (("networks", 1, "step"), -5),
+        (("networks", 0, "step"), 2.0),
+        (("meta", "swap"), "yes"),
+        (("meta", "swap"), 1),
+        (("meta", "root_exclusive"), "yes"),
+        (("meta", "root_exclusive"), None),
+    ],
+    ids=[
+        "count-string", "count-null", "count-negative", "count-bool", "step-string",
+        "step-negative", "step-float", "swap-string", "swap-int", "root-exclusive-string",
+        "root-exclusive-null",
+    ],
+)
+def test_counts_and_flags_of_the_wrong_type_raise_model_error(saved_swap, path, value):
+    """A count must be a whole number and a flag a JSON boolean: a negative
+    count would decode from the raw parameters, and a string would turn a
+    flag on."""
+    header, blocks = split_container(saved_swap)
+    _edit(*path, value=value)(header)
     with pytest.raises(ModelError):
         load(io.BytesIO(rechecksum(header, blocks)))
 

@@ -526,6 +526,11 @@ def test_averages_are_running_means_and_reads_change_nothing(plan, averaging_sta
         assert np.array_equal(net.params[k], quiet.params[k]), k
         assert np.array_equal(net.velocity[k], quiet.velocity[k]), k
     assert _dump(net) == _dump(quiet)
+    loaded = load_model(io.BytesIO(_dump(net)))[0]["net"]
+    assert _dump(loaded) == _dump(net)
+    for n in (net, loaded):
+        views = [*n.params.values(), *n._avg.values(), *n.velocity.values()]
+        assert all(np.shares_memory(view, n.state) for view in views)
 
 
 def test_settle_averages_keeps_values_and_training_resumes():
