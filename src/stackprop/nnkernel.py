@@ -13,18 +13,25 @@ and an average count per block, so that updates restricted to a subset of
 blocks leave the rest bit-identical. While a block trains, its average is
 kept as the running sum of its iterates (Polyak & Juditsky 1992; Bottou
 2012), so a step adds the new parameters once instead of rewriting a mean;
-the mean is divided out when something reads it.
+the mean is divided out when something reads it. ``W1``'s gradient
+``h0.T @ dz1`` is never built: ``backward_from_hidden`` hands it over as its
+two factors (``Outer``), and ``asgd_step`` adds it into the velocity inside
+the GEMM itself, ``v <- mu*v - lr*(h0.T @ dz1)``, one BLAS-3 call per row
+piece (Dongarra et al. 1990) through the 64-bit-integer CBLAS ``dgemm`` of
+numpy's OpenBLAS. Without that symbol a step builds the product and
+applies it with in-place array operations.
 
 The ``W1`` products and the updates of large blocks are split over the
 usable cores (``_cuts``, ``_run``). A product is cut only along an output
 dimension, into aligned pieces above OpenBLAS's small-matrix path, so every
 output element is summed as in the whole product and results do not depend
-on the core count. Importing this module pins numpy's bundled OpenBLAS to
-one thread for the whole process, so that split is the only parallel work:
-OpenBLAS's own threads follow the core count and round differently. The
-``scipy_openblas_*`` names ``_openblas`` looks up belong to numpy's own
-bundled OpenBLAS (numpy wheels ship the scipy-openblas build), not to
-scipy, which the library does not use.
+on the core count; the step's GEMM is cut as the product it replaces.
+Importing this module pins numpy's bundled OpenBLAS to one thread for the
+whole process, so that split is the only parallel work: OpenBLAS's own
+threads follow the core count and round differently. The ``scipy_*``
+names ``_symbol`` looks up belong to numpy's own bundled OpenBLAS (numpy
+wheels ship the scipy-openblas build), not to scipy, which the library
+does not use.
 """
 
 from __future__ import annotations
@@ -73,11 +80,24 @@ _LIBS = sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openb
 _OPENBLAS = ctypes.CDLL(str(_LIBS[0])) if _LIBS else None  # numpy's bundled OpenBLAS
 
 
+def _symbol(*names: str) -> Optional[Callable]:
+    """The first of ``names`` that numpy's bundled OpenBLAS exports, or None."""
+    return next((getattr(_OPENBLAS, n) for n in names if hasattr(_OPENBLAS, n)), None)
+
+
 def _openblas(name: str) -> Optional[Callable]:
     """The function ``name`` of numpy's bundled OpenBLAS, under this
-    name or one of its older ones; None when there is no such library."""
-    names = (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}")
-    return next((getattr(_OPENBLAS, n) for n in names if hasattr(_OPENBLAS, n)), None)
+    name or one of its older ones."""
+    return _symbol(f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}")
+
+
+# C <- alpha * op(A) @ op(B) + beta * C, 64-bit-integer CBLAS; None without it
+_dgemm = _symbol("scipy_cblas_dgemm64_", "cblas_dgemm64_")
+ROW_MAJOR, NO_TRANS, TRANS = 101, 111, 112
+if _dgemm is not None:  # order, op(A), op(B); M, N, K; alpha, A, lda, B, ldb; beta, C, ldc
+    _dgemm.restype = None
+    _dgemm.argtypes = [ctypes.c_int] * 3 + [ctypes.c_int64] * 3 + [ctypes.c_double] + [
+        ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_double, ctypes.c_void_p, ctypes.c_int64]
 
 
 def blas_build() -> Optional[str]:
@@ -304,7 +324,7 @@ def _run(pieces: list[Callable[[], object]]) -> None:
     """Run every piece: the first on the calling thread, the rest on the
     pool. Afterwards the caller runs any piece no helper has started, so a
     busy pool costs nothing and nested pools cannot deadlock. Pieces call
-    only numpy."""
+    numpy or ``_dgemm``, which both release the GIL."""
     futures = [_POOL.submit(piece) for piece in pieces[1:]]
     pieces[0]()
     for piece, f in zip(pieces[1:], futures):
@@ -327,6 +347,35 @@ def _matmul(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
         pieces = [partial(np.matmul, a, b[:, s], out=out[:, s]) for s in cuts]
     _run(pieces)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class Outer:
+    """The gradient ``left.T @ right`` of (B, R) and (B, C) factors, unmultiplied:
+    ``asgd_step`` applies it inside the GEMM, and ``np.asarray`` builds it."""
+
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.left.shape[1:] + self.right.shape[1:]
+
+    def __getitem__(self, rows: slice) -> Outer:
+        return Outer(self.left[:, rows], self.right)
+
+    def fits(self, shape: tuple[int, ...]) -> bool:
+        """Whether its float64 2-D factors share a batch, multiply out to ``shape``
+        and lie as the GEMM reads them: each ``left`` row contiguous, ``right`` C-contiguous."""
+        a, b = self.left, self.right
+        return (
+            all(isinstance(x, np.ndarray) and x.dtype == DTYPE and x.ndim == 2 for x in (a, b))
+            and len(a) == len(b) and self.shape == shape and b.flags.c_contiguous
+            and a.strides[1] == 8 and a.strides[0] >= 8 * a.shape[1]
+        )
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return _matmul(self.left.T, self.right, axis=0)  # numpy casts to a requested dtype
 
 
 def embed_forward_batch(
@@ -391,7 +440,8 @@ def backward_batch(
     net: Network, cache: ForwardCache, dlogits: np.ndarray
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Gradients for all blocks plus gradients w.r.t. dense group inputs:
-    the softmax layer's, then ``backward_from_hidden``'s.
+    the softmax layer's, then ``backward_from_hidden``'s, so ``W1``'s
+    arrives as an ``Outer``.
 
     ``dlogits`` carries whatever scaling the caller wants (e.g. 1/B for a
     batch mean); everything downstream inherits it.
@@ -406,9 +456,11 @@ def backward_from_hidden(
     net: Network, cache: ForwardCache, dh1: np.ndarray
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Backward pass entered at the hidden activations, skipping the softmax
-    layer entirely (its blocks do not appear in the result)."""
+    layer entirely (its blocks do not appear in the result). ``W1``'s
+    gradient is ``Outer(h0, dz1)``, which ``asgd_step`` applies inside its
+    GEMM; the other blocks' gradients are arrays."""
     dz1 = dh1 * (cache.z1 > 0)
-    grads = {"W1": _matmul(cache.h0.T, dz1, axis=0), "b1": dz1.sum(axis=0)}
+    grads = {"W1": Outer(cache.h0, dz1), "b1": dz1.sum(axis=0)}
     dh0 = _matmul(dz1, net.params["W1"].T, axis=1)
     dense_grads: dict[str, np.ndarray] = {}
     offset = 0
@@ -446,20 +498,22 @@ def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 def asgd_step(
     net: Network,
-    grads: dict[str, np.ndarray],
+    grads: dict[str, Union[np.ndarray, Outer]],
     config: OptimizerConfig,
     scope: Optional[Sequence[str]] = None,
 ) -> None:
     """One momentum step with running-average maintenance on ``scope`` blocks.
 
-    Every scoped gradient is checked (present, float64, writable, the block's
-    shape) before anything changes, so a bad call leaves the network as it
-    was. The gradients are scaled by the learning rate in place, and every
-    block is updated in place with no temporary arrays. Blocks outside the
-    scope keep their parameters, velocities, averages, and counts
-    bit-identical. The learning rate decays as eta0 / (1 + step/gamma) on
-    this network's own step counter. A large block is updated in row
-    slices split over the kernel's workers.
+    Every scoped gradient is checked before anything changes, so a bad call
+    leaves the network as it was: a writable float64 array of the block's
+    shape, or an ``Outer`` that ``fits`` it. Array gradients are scaled by
+    the learning rate in place. An ``Outer`` goes into the velocity inside
+    the GEMM, ``v <- mu*v - lr*(left.T @ right)``, and its factors are never
+    written. Every block is updated in place with no block-sized temporary.
+    Blocks outside the scope keep their parameters, velocities, averages,
+    and counts bit-identical. The learning rate decays as
+    eta0 / (1 + step/gamma) on this network's own step counter. A large
+    block is updated in row slices split over the kernel's workers.
     """
     blocks = list(scope) if scope is not None else net.block_names
     for name in blocks:
@@ -469,15 +523,13 @@ def asgd_step(
         if g is None:
             raise StackpropError(f"no gradient supplied for block {name}")
         shape = net.params[name].shape
-        if not (
-            isinstance(g, np.ndarray)
-            and g.dtype == DTYPE
-            and g.shape == shape
-            and g.flags.writeable
-        ):
+        fits = g.fits(shape) if isinstance(g, Outer) else isinstance(g, np.ndarray) and (
+            g.dtype == DTYPE and g.shape == shape and g.flags.writeable
+        )
+        if not fits:
             raise StackpropError(
-                f"gradient for block {name} must be a writable float64 array of shape "
-                f"{shape}, got shape {np.shape(g)}"
+                f"gradient for block {name} must be a writable float64 array or a well-laid "
+                f"Outer of shape {shape}, got shape {getattr(g, 'shape', None)}"
             )
     lr = config.eta0 / (1.0 + net.step / config.gamma)
     net.step += 1
@@ -485,7 +537,9 @@ def asgd_step(
     for name in blocks:
         p, v, g = net.params[name], net.velocity[name], grads[name]
         acc = net._running_sum(name) if averaging else None
-        cuts = _cuts(len(p), p.size // max(1, len(p)), ASGD_FLOOR, equal=False)
+        outer = isinstance(g, Outer)  # cut as _matmul cuts the product
+        unit = g.right.size if outer else p.size // max(1, len(p))
+        cuts = _cuts(len(p), unit, GEMM_FLOOR if outer else ASGD_FLOOR, equal=outer)
         _run([
             partial(_asgd_rows, p[s], v[s], g[s], None if acc is None else acc[s], lr, config.mu)
             for s in cuts
@@ -494,10 +548,18 @@ def asgd_step(
 
 def _asgd_rows(p, v, g, acc, lr: float, mu: float) -> None:
     """The in-place momentum step on matching slices of one block's
-    parameters, velocity, gradient and (unless None) running sum."""
-    g *= lr
-    v *= mu
-    v -= g
+    parameters, velocity, gradient and (unless None) running sum. An
+    ``Outer`` goes through one ``_dgemm`` call into the velocity, or, with
+    no such call at hand, is built and stepped as an array."""
+    if isinstance(g, Outer) and _dgemm is not None:
+        a, b = g.left, g.right
+        _dgemm(ROW_MAJOR, TRANS, NO_TRANS, *v.shape, len(b), -lr, a.ctypes.data, a.strides[0] // 8,
+               b.ctypes.data, b.shape[1], mu, v.ctypes.data, v.shape[1])
+    else:
+        g = g.left.T @ g.right if isinstance(g, Outer) else g
+        g *= lr
+        v *= mu
+        v -= g
     p += v
     if acc is not None:
         acc += p

@@ -19,6 +19,7 @@ from stackprop.nnkernel import (
     FeatureGroupSpec,
     Network,
     OptimizerConfig,
+    Outer,
     asgd_step,
     backward_batch,
     backward_from_hidden,
@@ -186,7 +187,7 @@ def test_backprop_zero_upstream_gradient():
     cache = forward_batch(net, _example(net, rng))
     grads, dense = backward_from_hidden(net, cache, np.zeros_like(cache.h1))
     for v in grads.values():
-        assert not v.any()
+        assert not np.asarray(v).any()
     for v in dense.values():
         assert not v.any()
 
@@ -215,7 +216,7 @@ def test_backprop_full_finite_difference():
             lm = loss()
             flat[i] = old
             fd = (lp - lm) / (2 * eps)
-            an = grads[name].ravel()[i]
+            an = np.asarray(grads[name]).ravel()[i]
             assert abs(fd - an) / max(abs(fd), abs(an), 1e-8) < 1e-4, name
 
 
@@ -465,6 +466,119 @@ def test_asgd_step_allocates_no_block_sized_temporaries(split_workers, monkeypat
     assert largest == 128 * n_hidden * 8
     assert peak < 0.01 * largest, peak
     assert len(splits) == 2 * (split_workers - 1), splits  # W1 in both steps
+
+
+def w1_net(rows=1664, cols=1024, seed=0):
+    """A network whose W1 is (rows, cols): one unembedded dense group."""
+    groups = [FeatureGroupSpec("x", 1, rows, 1, dense=True, embedded=False)]
+    return small_net(seed=seed, groups=groups, n_hidden=cols, n_out=2)
+
+
+@pytest.mark.parametrize("split_workers", [1, 2, 4], indirect=True)
+def test_split_fused_w1_steps_equal_the_whole_steps(split_workers, monkeypatch):
+    """A factored W1 gradient's step, run whole on 1 worker or split over 2
+    or 4, leaves W1's parameters and velocity bitwise as one GEMM call over
+    the whole block, at the parser's default W1 shape (1664x1024) and for
+    every batch size from 1 up."""
+    net = w1_net()
+    rng = np.random.default_rng(6)
+    net.velocity["W1"][...] = rng.normal(scale=0.01, size=net.velocity["W1"].shape)
+    p0, v0 = net.params["W1"].copy(), net.velocity["W1"].copy()
+    cfg = OptimizerConfig(eta0=0.1, mu=0.9, averaging_start=10**9)
+    splits = count_splits(monkeypatch)
+    split_rows = []
+    for rows in SWEEP_ROWS:
+        g = Outer(rng.normal(size=(rows, 1664)), rng.normal(size=(rows, 1024)))
+        net.params["W1"][...], net.velocity["W1"][...], net.step = p0, v0, 0
+        before = len(splits)
+        asgd_step(net, {"W1": g}, cfg, scope=["W1"])
+        if len(splits) > before:
+            split_rows.append(rows)
+        p, v = p0.copy(), v0.copy()
+        nnkernel._asgd_rows(p, v, g, None, cfg.eta0, cfg.mu)
+        assert np.array_equal(net.params["W1"], p), rows
+        assert np.array_equal(net.velocity["W1"], v), rows
+    if split_workers == 1:
+        assert split_rows == []
+        return
+    assert split_rows and split_rows[0] <= 5
+    assert split_rows == [r for r in SWEEP_ROWS if r >= split_rows[0]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    batch=st.integers(1, 8),
+    eta0=st.floats(1e-3, 0.5),
+    mu=st.floats(0.0, 0.95),
+    averaging_start=st.integers(0, 25),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_steps_agree_with_dense_steps(rows, cols, batch, eta0, mu, averaging_start, seed):
+    """Twenty steps with factored W1 gradients agree with twenty steps with
+    the same gradients multiplied out, to rounding: the GEMM applies the
+    learning rate and momentum with its own (fused) roundings."""
+    cfg = OptimizerConfig(eta0=eta0, gamma=10.0, mu=mu, averaging_start=averaging_start)
+    fused, dense = w1_net(rows, cols, seed), w1_net(rows, cols, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        left, right = rng.normal(size=(batch, rows)), rng.normal(size=(batch, cols))
+        asgd_step(fused, {"W1": Outer(left, right)}, cfg, scope=["W1"])
+        asgd_step(dense, {"W1": left.T @ right}, cfg, scope=["W1"])
+    scale = max(np.abs(dense.params["W1"]).max(), np.abs(dense.velocity["W1"]).max())
+    for got, want in [(fused.params, dense.params), (fused.velocity, dense.velocity),
+                      (fused.average, dense.average)]:
+        np.testing.assert_allclose(got["W1"], want["W1"], rtol=1e-12, atol=1e-12 * scale)
+    assert fused.avg_count == dense.avg_count
+
+
+@pytest.mark.parametrize("split_workers", [1, 2], ids=["whole", "split"], indirect=True)
+def test_fused_step_without_dgemm_is_the_array_step(split_workers, monkeypatch):
+    """Without the CBLAS call, a factored gradient is multiplied out and
+    stepped bitwise as the five in-place array operations, also when the
+    block is cut over two workers."""
+    monkeypatch.setattr(nnkernel, "_dgemm", None)
+    net = w1_net(seed=3)
+    rng = np.random.default_rng(9)
+    cfg = OptimizerConfig(eta0=0.1, gamma=10.0, mu=0.9)
+    p, v = net.params["W1"].copy(), net.velocity["W1"].copy()
+    acc = np.zeros_like(p)  # the first averaged step starts the running sum
+    splits = count_splits(monkeypatch)
+    for step in range(3):
+        left, right = rng.normal(size=(16, 1664)), rng.normal(size=(16, 1024))
+        asgd_step(net, {"W1": Outer(left, right)}, cfg, scope=["W1"])
+        g = left.T @ right
+        g *= cfg.eta0 / (1.0 + step / cfg.gamma)
+        v *= cfg.mu
+        v -= g
+        p += v
+        acc += p
+    assert np.array_equal(net.params["W1"], p)
+    assert np.array_equal(net.velocity["W1"], v)
+    assert np.array_equal(net.average["W1"], acc / 3)
+    assert len(splits) == 3 * (split_workers - 1), splits
+
+
+@pytest.mark.parametrize("bad", ["batch", "float32", "left-columns", "right-transposed"])
+def test_malformed_outer_raises_and_changes_nothing(bad):
+    net = small_net(seed=23)
+    rng = np.random.default_rng(10)
+    rows, cols = net.params["W1"].shape
+    left, right = rng.normal(size=(3, rows)), rng.normal(size=(3, cols))
+    outer = {
+        "batch": Outer(left, right[:2]),
+        "float32": Outer(left.astype(np.float32), right),
+        "left-columns": Outer(np.asfortranarray(left), right),
+        "right-transposed": Outer(left, np.asfortranarray(right)),
+    }[bad]
+    grads = {**{k: np.ones_like(v) for k, v in net.params.items()}, "W1": outer}
+    state = net.state.copy()
+    before = optimizer_state(net)
+    with pytest.raises(StackpropError, match="W1"):
+        asgd_step(net, grads, OptimizerConfig())
+    assert np.array_equal(net.state, state)
+    assert_same_state(net, before)
 
 
 SCOPES = (None, ("W1", "b1"), ("E_ids", "W2", "b2"), ("E_vecs",))

@@ -15,13 +15,14 @@ from stackprop.model import (
     PIPELINE,
     STACKPROP,
     WINDOW,
+    ParserNetworkConfig,
     build_model,
     save,
 )
 from stackprop.nnkernel import OptimizerConfig, forward_batch
 from stackprop.parser import parse_corpus, parse_sentence, parser_input, token_tables
 from stackprop.synthetic import generate_corpus
-from stackprop.tagger import tag_sentences
+from stackprop.tagger import TaggerConfig, tag_sentences
 from stackprop.trainer import (
     TAGGER_SOFTMAX_BLOCKS,
     encode_training_data,
@@ -454,6 +455,20 @@ def test_joint_stackprop_uses_tag_supervision():
     # without stackprop no tagger batches run, so tag_loss stays 0
     assert all("tag_loss=0.0000" in l for l in lines_a if "tag_loss" in l)
     assert any("tag_loss=0.0000" not in l for l in lines_b if "tag_loss" in l)
+
+
+def test_parser_update_builds_no_w1_sized_gradient():
+    """A default-dims PARSER update adds W1's gradient into the velocity
+    inside the GEMM: nothing near W1's size is allocated on the way."""
+    model = build_model(STACKPROP, CORPUS, TaggerConfig(), ParserNetworkConfig(), seed=0)
+    data = encode_training_data(CORPUS, model)
+    tracemalloc.start()
+    try:
+        parser_batch_update(model, data, np.arange(32), OptimizerConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.parser.params["W1"].nbytes // 2, peak
 
 
 def test_trained_network_reads_its_averages_without_computing_them():
